@@ -3,8 +3,7 @@
 //! Quantifies the allocation-reuse win of `Model::solve_with` + a long-lived
 //! `SolveWorkspace` (mesh cached, banded system factored in place into
 //! recycled storage) against the one-shot `Model::solve`, at the mesh sizes
-//! the optimizer actually uses, plus the pooled-acquisition variant the
-//! finite-difference workers go through.
+//! the optimizer actually uses.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use liquamod::prelude::*;
@@ -28,10 +27,6 @@ fn bench_fresh_vs_reused(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reused", mesh), &mesh, |b, _| {
             let mut ws = SolveWorkspace::new();
             b.iter(|| model.solve_with(&opts, &mut ws).expect("solves"));
-        });
-        group.bench_with_input(BenchmarkId::new("pooled", mesh), &mesh, |b, _| {
-            let pool = WorkspacePool::new();
-            b.iter(|| pool.with(|ws| model.solve_with(&opts, ws).expect("solves")));
         });
     }
     group.finish();

@@ -2,36 +2,27 @@
 //!
 //! Decision variables are the per-segment channel widths of every column,
 //! normalized to `[0, 1]` over the manufacturable range `[w_min, w_max]`
-//! (normalization keeps the finite-difference steps and the box geometry
+//! (normalization keeps the box geometry and the quasi-Newton scaling
 //! well-conditioned; raw widths are ~1e-5 m). Each objective evaluation
 //! applies the candidate widths, solves the §III boundary-value problem and
-//! integrates the paper's Eq. (7) cost. Pressure bounds (Eq. 9) and the
+//! integrates the paper's Eq. (7) cost; each gradient adds one transposed
+//! solve of the same collocation system (the discrete adjoint,
+//! [`Model::solve_cost_gradient_with`]). Pressure bounds (Eq. 9) and the
 //! equal-pressure coupling (Eq. 10) enter as augmented-Lagrangian
-//! constraints; pressure evaluations are closed-form integrals, so the
-//! constraint side costs nothing compared to the thermal solves.
+//! constraints; pressure drops and their width derivatives are closed-form
+//! integrals, so the constraint side costs nothing compared to the thermal
+//! solves.
 
 use crate::{CoreError, Result};
 use liquamod_optimal_control::{
     augmented_lagrangian, augmented_lagrangian_warm, nelder_mead, projected_gradient,
-    AugLagOptions, AugLagResult, AugLagWarmStart, Bounds, ConstrainedObjective, LbfgsOptions,
-    NelderMeadOptions, ProjGradOptions,
+    AugLagOptions, AugLagResult, AugLagWarmStart, Bounds, ConstrainedGradient,
+    ConstrainedObjective, LbfgsOptions, NelderMeadOptions, ProjGradOptions,
 };
-use liquamod_thermal_model::{
-    Model, Solution, SolveOptions, SolveWorkspace, WidthProfile, WorkspacePool,
-};
+pub use liquamod_thermal_model::ObjectiveKind;
+use liquamod_thermal_model::{Model, Solution, SolveOptions, SolveWorkspace, WidthProfile};
 use liquamod_units::{Length, Pressure};
-
-/// Which cost integral to minimize (the paper notes the two are equivalent
-/// through the conduction law `dT/dz = −q/ĝ_l`; both are provided for the
-/// ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ObjectiveKind {
-    /// `∫ ‖dT/dz‖² dz` — the paper's Eq. (7).
-    #[default]
-    GradientSquared,
-    /// `∫ ‖q‖² dz` — the heat-flow form suggested in §IV-A.
-    HeatflowSquared,
-}
+use std::cell::RefCell;
 
 /// Which NLP solver drives the (inner) minimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,11 +55,11 @@ pub struct OptimizationConfig {
     pub auglag: AugLagOptions,
     /// Inner-iteration cap for *resumed* solves ([`optimize_resumed`] with
     /// dual state): a resumed epoch starts at the previous optimum with
-    /// converged multipliers, so after the first few refinement iterations
-    /// the remaining budget only polishes finite-difference noise. `None`
-    /// keeps the full `auglag.inner.max_iterations` budget for resumed
-    /// solves too. Cold solves (and plain [`optimize_warm`]) are never
-    /// capped by this.
+    /// converged multipliers and needs only a short refinement, which the
+    /// cap bounds to a fraction of a cold solve (each iteration is one
+    /// adjoint gradient plus its line-search trials). `None` keeps the
+    /// full `auglag.inner.max_iterations` budget for resumed solves too.
+    /// Cold solves (and plain [`optimize_warm`]) are never capped by this.
     pub resume_inner_iterations: Option<usize>,
     /// Outer-iteration cap for *resumed* solves, the dual-side twin of
     /// `resume_inner_iterations`. With warm multipliers each outer
@@ -80,8 +71,6 @@ pub struct OptimizationConfig {
     /// converged too little to help. `None` keeps the full
     /// `auglag.max_outer_iterations` budget. Cold solves are never capped.
     pub resume_outer_iterations: Option<usize>,
-    /// Worker threads for finite-difference gradients.
-    pub fd_threads: usize,
 }
 
 impl Default for OptimizationConfig {
@@ -104,9 +93,8 @@ impl Default for OptimizationConfig {
                 },
                 ..AugLagOptions::default()
             },
-            resume_inner_iterations: Some(8),
+            resume_inner_iterations: Some(16),
             resume_outer_iterations: Some(1),
-            fd_threads: default_threads(),
         }
     }
 }
@@ -150,12 +138,6 @@ impl OptimizationConfig {
     }
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(16)
-}
-
 /// Outcome of an optimal channel-modulation run.
 #[derive(Debug, Clone)]
 pub struct DesignOutcome {
@@ -173,8 +155,10 @@ pub struct DesignOutcome {
     pub pressure_drops: Vec<Pressure>,
     /// Final objective value.
     pub objective: f64,
-    /// Total BVP/objective evaluations spent.
+    /// Total objective evaluations spent (forward BVP solves).
     pub evaluations: usize,
+    /// How many of those evaluations also solved the adjoint for a gradient.
+    pub adjoint_solves: usize,
     /// Whether pressure constraints were met (within the solver tolerance).
     pub feasible: bool,
 }
@@ -202,8 +186,26 @@ pub struct DesignWarmStart {
     pub penalty: f64,
 }
 
+/// Per-column pressure drops of `model` in pascals.
+fn drops_of(model: &Model) -> Vec<f64> {
+    model
+        .pressure_drops()
+        .expect("normalized widths are valid ducts")
+        .iter()
+        .map(|dp| dp.as_pascals())
+        .collect()
+}
+
+/// The model every evaluation applies its candidate widths to (instead of
+/// cloning the base model per evaluation), and the workspace its BVP solves
+/// reuse: mesh, banded factors and adjoint buffers survive across the whole
+/// run.
+struct Scratch {
+    model: Model,
+    ws: SolveWorkspace,
+}
+
 struct WidthProblem<'a> {
-    base: &'a Model,
     config: &'a OptimizationConfig,
     n_cols: usize,
     w_min: f64,
@@ -215,14 +217,27 @@ struct WidthProblem<'a> {
     /// constraints are O(1); without this scaling the augmented-Lagrangian
     /// penalties would be invisible next to the objective.
     j_scale: f64,
-    /// Per-worker [`SolveWorkspace`]s: every objective evaluation solves the
-    /// BVP through a pooled workspace, so the mesh and banded-system buffers
-    /// are built once per worker and recycled across the whole run
-    /// (including every line-search and finite-difference evaluation).
-    pool: WorkspacePool,
+    scratch: RefCell<Scratch>,
 }
 
-impl WidthProblem<'_> {
+impl<'a> WidthProblem<'a> {
+    fn new(model: &Model, config: &'a OptimizationConfig) -> Self {
+        let params = model.params();
+        Self {
+            config,
+            n_cols: model.columns().len(),
+            w_min: params.w_min.si(),
+            w_max: params.w_max.si(),
+            dp_max: params.dp_max.si(),
+            solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
+            j_scale: 1.0,
+            scratch: RefCell::new(Scratch {
+                model: model.clone(),
+                ws: SolveWorkspace::new(),
+            }),
+        }
+    }
+
     fn widths_from_x(&self, x: &[f64]) -> Vec<WidthProfile> {
         let k = self.config.segments;
         (0..self.n_cols)
@@ -230,11 +245,12 @@ impl WidthProblem<'_> {
                 let widths = x[c * k..(c + 1) * k]
                     .iter()
                     .map(|t| {
-                        // Deliberately NOT clamped to [0, 1]: finite-difference
-                        // probes step just outside the box at active bounds,
-                        // and clamping them would zero the gradient there
-                        // (the optimizer's box keeps actual iterates inside).
-                        // The wide guard only protects duct validity.
+                        // Deliberately NOT clamped to [0, 1]: the cost stays
+                        // smooth across the box faces, so gradients at active
+                        // bounds are two-sided and a finite-difference oracle
+                        // can probe just outside (the optimizer's box keeps
+                        // actual iterates inside). The wide guard only
+                        // protects duct validity.
                         let t = t.clamp(-0.1, 1.1);
                         Length::from_meters(self.w_min + t * (self.w_max - self.w_min))
                     })
@@ -244,45 +260,147 @@ impl WidthProblem<'_> {
             .collect()
     }
 
-    fn model_with(&self, x: &[f64]) -> Model {
-        let mut model = self.base.clone();
+    /// `∂w/∂x` of one normalized coordinate (zero outside the guard band).
+    fn width_scale(&self, t: f64) -> f64 {
+        if (-0.1..=1.1).contains(&t) {
+            self.w_max - self.w_min
+        } else {
+            0.0
+        }
+    }
+
+    fn apply(&self, model: &mut Model, x: &[f64]) {
         for (c, w) in self.widths_from_x(x).into_iter().enumerate() {
             model
                 .set_width_profile(c, w)
                 .expect("normalized widths stay inside (0, pitch)");
         }
+    }
+
+    /// An owned copy of the model at `x` (for the outcome).
+    fn model_with(&self, x: &[f64]) -> Model {
+        let mut model = self.scratch.borrow().model.clone();
+        self.apply(&mut model, x);
         model
     }
 
+    /// Runs `f` on the scratch model with the widths of `x` applied.
+    fn with_model<R>(&self, x: &[f64], f: impl FnOnce(&Model, &mut SolveWorkspace) -> R) -> R {
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { model, ws } = &mut *scratch;
+        self.apply(model, x);
+        f(model, ws)
+    }
+
     fn pressure_drops(&self, x: &[f64]) -> Vec<f64> {
-        // Pressure depends only on the widths, the parameters and the
-        // length, all of which the *base* model already carries — no need to
-        // clone a model just to apply the candidate widths.
-        self.widths_from_x(x)
-            .iter()
-            .map(|w| {
-                self.base
-                    .column_pressure_drop(w)
-                    .expect("normalized widths are valid ducts")
-                    .as_pascals()
+        self.with_model(x, |model, _| drops_of(model))
+    }
+
+    /// The drops at `x` and `∂ΔP_c/∂x` for each column's own coordinates
+    /// (flat, in the layout of `x`).
+    fn pressure_drops_with_gradient(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let (drops, mut gradient) = self.with_model(x, |model, _| {
+            let mut gradient = Vec::new();
+            model
+                .pressure_drop_gradient(&mut gradient)
+                .expect("normalized widths are valid ducts");
+            (drops_of(model), gradient)
+        });
+        for (g, t) in gradient.iter_mut().zip(x) {
+            *g *= self.width_scale(*t);
+        }
+        (drops, gradient)
+    }
+
+    /// The Eq. (9) inequalities and Eq. (10) equalities from the drops.
+    fn pressure_constraints(&self, drops: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        // ΔPᵢ/ΔP_max − 1 ≤ 0 (paper Eq. 9).
+        let g = drops.iter().map(|dp| dp / self.dp_max - 1.0).collect();
+        // (ΔPᵢ − mean)/ΔP_max = 0 (paper Eq. 10), only with several columns.
+        let h = if self.couples_pressures() {
+            let mean = drops.iter().sum::<f64>() / drops.len() as f64;
+            drops.iter().map(|dp| (dp - mean) / self.dp_max).collect()
+        } else {
+            Vec::new()
+        };
+        (g, h)
+    }
+
+    /// Jacobian rows of [`WidthProblem::pressure_constraints`], given
+    /// `∂ΔP_c/∂x` from [`WidthProblem::pressure_drops_with_gradient`].
+    fn pressure_jacobians(&self, d_drops: &[f64]) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let k = self.config.segments;
+        // Column c's drop moves only with its own k coordinates.
+        let g: Vec<Vec<f64>> = (0..self.n_cols)
+            .map(|c| {
+                let mut row = vec![0.0; d_drops.len()];
+                for i in c * k..(c + 1) * k {
+                    row[i] = d_drops[i] / self.dp_max;
+                }
+                row
             })
-            .collect()
+            .collect();
+        let h = if self.couples_pressures() {
+            // ∇(ΔPᵢ − mean)/ΔP_max: the own row minus the mean of the rows.
+            let n = self.n_cols as f64;
+            let mean: Vec<f64> = (0..d_drops.len()).map(|i| g[i / k][i] / n).collect();
+            g.iter()
+                .map(|row| row.iter().zip(&mean).map(|(r, m)| r - m).collect())
+                .collect()
+        } else {
+            Vec::new()
+        };
+        (g, h)
+    }
+
+    fn couples_pressures(&self) -> bool {
+        self.config.equal_pressure && self.n_cols >= 2
     }
 
     fn raw_objective(&self, x: &[f64]) -> f64 {
-        let model = self.model_with(x);
         // Cost-only solve: skips the Solution profile materialization while
         // producing bit-identical integrals (see `Model::solve_costs_with`).
-        let solved = self.pool.with(|ws| model.solve_costs_with(&self.solve, ws));
+        let solved = self.with_model(x, |model, ws| model.solve_costs_with(&self.solve, ws));
         match solved {
-            Ok(costs) => match self.config.objective {
-                ObjectiveKind::GradientSquared => costs.gradient_squared,
-                ObjectiveKind::HeatflowSquared => costs.heatflow_squared,
-            },
+            Ok(costs) => costs.get(self.config.objective),
             // Infinite cost steers the line search away from pathological
             // candidates instead of aborting the whole run.
             Err(_) => f64::INFINITY,
         }
+    }
+
+    /// [`WidthProblem::raw_objective`] and its gradient in `x` coordinates,
+    /// by the discrete adjoint (one forward and one transposed solve).
+    fn raw_objective_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let mut width_gradient = Vec::with_capacity(x.len());
+        let solved = self.with_model(x, |model, ws| {
+            model.solve_cost_gradient_with(
+                &self.solve,
+                self.config.objective,
+                ws,
+                &mut width_gradient,
+            )
+        });
+        match solved {
+            Ok(cost) => {
+                for ((g, dw), t) in grad.iter_mut().zip(&width_gradient).zip(x) {
+                    *g = dw * self.width_scale(*t);
+                }
+                cost
+            }
+            Err(_) => {
+                grad.fill(0.0);
+                f64::INFINITY
+            }
+        }
+    }
+
+    /// The scaled objective and its gradient (the unconstrained solvers'
+    /// view of the problem).
+    fn objective_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let f = self.raw_objective_and_gradient(x, grad) / self.j_scale;
+        grad.iter_mut().for_each(|g| *g /= self.j_scale);
+        f
     }
 }
 
@@ -296,21 +414,31 @@ impl ConstrainedObjective for WidthProblem<'_> {
     }
 
     fn inequality(&self, x: &[f64]) -> Vec<f64> {
-        // ΔPᵢ/ΔP_max − 1 ≤ 0 (paper Eq. 9).
-        self.pressure_drops(x)
-            .iter()
-            .map(|dp| dp / self.dp_max - 1.0)
-            .collect()
+        self.constraints(x).0
     }
 
     fn equality(&self, x: &[f64]) -> Vec<f64> {
-        // (ΔPᵢ − mean)/ΔP_max = 0 (paper Eq. 10), only with several columns.
-        if !self.config.equal_pressure || self.n_cols < 2 {
-            return Vec::new();
+        self.constraints(x).1
+    }
+
+    fn constraints(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        self.pressure_constraints(&self.pressure_drops(x))
+    }
+
+    fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+        let mut gradient = vec![0.0; x.len()];
+        let objective = self.objective_and_gradient(x, &mut gradient);
+        let (drops, d_drops) = self.pressure_drops_with_gradient(x);
+        let (inequality, equality) = self.pressure_constraints(&drops);
+        let (inequality_jacobian, equality_jacobian) = self.pressure_jacobians(&d_drops);
+        ConstrainedGradient {
+            objective,
+            gradient,
+            inequality,
+            inequality_jacobian,
+            equality,
+            equality_jacobian,
         }
-        let drops = self.pressure_drops(x);
-        let mean = drops.iter().sum::<f64>() / drops.len() as f64;
-        drops.iter().map(|dp| (dp - mean) / self.dp_max).collect()
     }
 }
 
@@ -383,18 +511,7 @@ fn optimize_inner(
     dual: Option<&AugLagWarmStart>,
 ) -> Result<(DesignOutcome, DesignWarmStart)> {
     config.validate()?;
-    let params = model.params();
-    let mut problem = WidthProblem {
-        base: model,
-        config,
-        n_cols: model.columns().len(),
-        w_min: params.w_min.si(),
-        w_max: params.w_max.si(),
-        dp_max: params.dp_max.si(),
-        solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
-        j_scale: 1.0,
-        pool: WorkspacePool::new(),
-    };
+    let mut problem = WidthProblem::new(model, config);
     let dim = ConstrainedObjective::dim(&problem);
     if let Some(s) = start {
         if s.len() != dim {
@@ -424,10 +541,9 @@ fn optimize_inner(
         None => anchor,
     };
 
-    let (x_opt, objective, evaluations, feasible, next_dual) = match config.solver {
+    let (x_opt, objective, evaluations, adjoint_solves, feasible, next_dual) = match config.solver {
         SolverKind::LbfgsB => {
             let mut auglag = config.auglag.clone();
-            auglag.inner.fd_threads = config.fd_threads;
             if dual.is_some() {
                 if let Some(cap) = config.resume_inner_iterations {
                     auglag.inner.max_iterations = auglag.inner.max_iterations.min(cap);
@@ -440,6 +556,7 @@ fn optimize_inner(
                 x,
                 objective,
                 evaluations,
+                gradient_evaluations,
                 feasible,
                 inequality_multipliers,
                 equality_multipliers,
@@ -451,12 +568,18 @@ fn optimize_inner(
                 equality_multipliers,
                 penalty,
             };
-            (x, objective, evaluations, feasible, next)
+            (
+                x,
+                objective,
+                evaluations,
+                gradient_evaluations,
+                feasible,
+                next,
+            )
         }
         SolverKind::ProjGrad => {
             let opts = ProjGradOptions {
                 max_iterations: config.auglag.inner.max_iterations,
-                fd_threads: config.fd_threads,
                 ..ProjGradOptions::default()
             };
             let r = projected_gradient(&ObjOnly(&problem), &bounds, &x0, &opts);
@@ -465,7 +588,14 @@ fn optimize_inner(
                 equality_multipliers: Vec::new(),
                 penalty: config.auglag.initial_penalty,
             };
-            (r.x, r.objective, r.evaluations, true, next)
+            (
+                r.x,
+                r.objective,
+                r.evaluations,
+                r.gradient_evaluations,
+                true,
+                next,
+            )
         }
         SolverKind::NelderMead => {
             let opts = NelderMeadOptions {
@@ -478,15 +608,20 @@ fn optimize_inner(
                 equality_multipliers: Vec::new(),
                 penalty: config.auglag.initial_penalty,
             };
-            (r.x, r.objective, r.evaluations, true, next)
+            (
+                r.x,
+                r.objective,
+                r.evaluations,
+                r.gradient_evaluations,
+                true,
+                next,
+            )
         }
     };
 
     let widths = problem.widths_from_x(&x_opt);
     let optimized = problem.model_with(&x_opt);
-    let solution = problem
-        .pool
-        .with(|ws| optimized.solve_with(&problem.solve, ws))?;
+    let solution = optimized.solve_with(&problem.solve, &mut problem.scratch.get_mut().ws)?;
     let pressure_drops = optimized.pressure_drops()?;
     // Report the raw Eq. (7) cost, not the normalized solver value.
     let objective = objective * problem.j_scale;
@@ -504,6 +639,7 @@ fn optimize_inner(
         pressure_drops,
         objective,
         evaluations,
+        adjoint_solves,
         feasible,
     };
     Ok((outcome, next_warm))
@@ -555,6 +691,63 @@ impl liquamod_optimal_control::Objective for ObjOnly<'_> {
     fn value(&self, x: &[f64]) -> f64 {
         self.0.objective(x)
     }
+    fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        self.0.objective_and_gradient(x, grad)
+    }
+}
+
+/// The §IV-B dual problem over the same widths: minimize the mean pressure
+/// drop subject to a bound on the thermal cost (see
+/// [`optimize_min_pumping`]).
+struct MinPumping<'a> {
+    inner: &'a WidthProblem<'a>,
+    cost_bound: f64,
+}
+impl ConstrainedObjective for MinPumping<'_> {
+    fn dim(&self) -> usize {
+        ConstrainedObjective::dim(self.inner)
+    }
+    fn objective(&self, x: &[f64]) -> f64 {
+        let drops = self.inner.pressure_drops(x);
+        drops.iter().sum::<f64>() / drops.len() as f64 / self.inner.dp_max
+    }
+    fn inequality(&self, x: &[f64]) -> Vec<f64> {
+        self.constraints(x).0
+    }
+    fn equality(&self, x: &[f64]) -> Vec<f64> {
+        self.inner.equality(x)
+    }
+    fn constraints(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        // Thermal bound first, then the per-column pressure caps.
+        let mut g = vec![self.inner.raw_objective(x) / self.cost_bound - 1.0];
+        let (caps, h) = self.inner.constraints(x);
+        g.extend(caps);
+        (g, h)
+    }
+    fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+        let mut thermal_row = vec![0.0; x.len()];
+        let cost = self.inner.raw_objective_and_gradient(x, &mut thermal_row);
+        thermal_row.iter_mut().for_each(|g| *g /= self.cost_bound);
+        let (drops, d_drops) = self.inner.pressure_drops_with_gradient(x);
+        let (caps, equality) = self.inner.pressure_constraints(&drops);
+        let (cap_rows, equality_jacobian) = self.inner.pressure_jacobians(&d_drops);
+        // Mean drop over ΔP_max: each column's coordinates move only its
+        // own drop.
+        let norm = drops.len() as f64 * self.inner.dp_max;
+        let gradient = d_drops.iter().map(|d| d / norm).collect();
+        let mut inequality = vec![cost / self.cost_bound - 1.0];
+        inequality.extend(caps);
+        let mut inequality_jacobian = vec![thermal_row];
+        inequality_jacobian.extend(cap_rows);
+        ConstrainedGradient {
+            objective: drops.iter().sum::<f64>() / drops.len() as f64 / self.inner.dp_max,
+            gradient,
+            inequality,
+            inequality_jacobian,
+            equality,
+            equality_jacobian,
+        }
+    }
 }
 
 /// The paper's §IV-B dual formulation: minimize the pumping effort with an
@@ -580,18 +773,7 @@ pub fn optimize_min_pumping(
             what: format!("cost_bound must be positive, got {cost_bound}"),
         });
     }
-    let params = model.params();
-    let mut thermal = WidthProblem {
-        base: model,
-        config,
-        n_cols: model.columns().len(),
-        w_min: params.w_min.si(),
-        w_max: params.w_max.si(),
-        dp_max: params.dp_max.si(),
-        solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
-        j_scale: 1.0,
-        pool: WorkspacePool::new(),
-    };
+    let mut thermal = WidthProblem::new(model, config);
     let dim = ConstrainedObjective::dim(&thermal);
     let bounds = Bounds::uniform(dim, 0.0, 1.0)?;
     let x0 = vec![1.0; dim];
@@ -603,47 +785,21 @@ pub fn optimize_min_pumping(
     }
     thermal.j_scale = j0;
 
-    struct MinPumping<'a> {
-        inner: &'a WidthProblem<'a>,
-        cost_bound: f64,
-    }
-    impl ConstrainedObjective for MinPumping<'_> {
-        fn dim(&self) -> usize {
-            ConstrainedObjective::dim(self.inner)
-        }
-        fn objective(&self, x: &[f64]) -> f64 {
-            let drops = self.inner.pressure_drops(x);
-            drops.iter().sum::<f64>() / drops.len() as f64 / self.inner.dp_max
-        }
-        fn inequality(&self, x: &[f64]) -> Vec<f64> {
-            // Thermal bound first, then the per-column pressure caps.
-            let mut g = vec![self.inner.raw_objective(x) / self.cost_bound - 1.0];
-            g.extend(self.inner.inequality(x));
-            g
-        }
-        fn equality(&self, x: &[f64]) -> Vec<f64> {
-            self.inner.equality(x)
-        }
-    }
-
     let dual = MinPumping {
         inner: &thermal,
         cost_bound,
     };
-    let mut auglag = config.auglag.clone();
-    auglag.inner.fd_threads = config.fd_threads;
     let AugLagResult {
         x,
         evaluations,
+        gradient_evaluations,
         feasible,
         ..
-    } = augmented_lagrangian(&dual, &bounds, &x0, &auglag);
+    } = augmented_lagrangian(&dual, &bounds, &x0, &config.auglag);
 
     let widths = thermal.widths_from_x(&x);
     let optimized = thermal.model_with(&x);
-    let solution = thermal
-        .pool
-        .with(|ws| optimized.solve_with(&thermal.solve, ws))?;
+    let solution = optimized.solve_with(&thermal.solve, &mut thermal.scratch.get_mut().ws)?;
     let pressure_drops = optimized.pressure_drops()?;
     let objective = match config.objective {
         ObjectiveKind::GradientSquared => solution.cost_gradient_squared(),
@@ -657,6 +813,7 @@ pub fn optimize_min_pumping(
         pressure_drops,
         objective,
         evaluations,
+        adjoint_solves: gradient_evaluations,
         feasible,
     })
 }
@@ -723,24 +880,14 @@ mod tests {
             segments: 4,
             ..OptimizationConfig::fast()
         };
-        let problem = WidthProblem {
-            base: &model,
-            config: &config,
-            n_cols: 1,
-            w_min: params.w_min.si(),
-            w_max: params.w_max.si(),
-            dp_max: params.dp_max.si(),
-            solve: SolveOptions::with_mesh_intervals(64),
-            j_scale: 1.0,
-            pool: WorkspacePool::new(),
-        };
+        let problem = WidthProblem::new(&model, &config);
         let widths = problem.widths_from_x(&[0.0, 1.0, 0.5, 2.0]);
         match &widths[0] {
             WidthProfile::PiecewiseConstant { widths } => {
                 assert!((widths[0].as_micrometers() - 10.0).abs() < 1e-9);
                 assert!((widths[1].as_micrometers() - 50.0).abs() < 1e-9);
                 assert!((widths[2].as_micrometers() - 30.0).abs() < 1e-9);
-                // Far out-of-box inputs clamp to the FD guard band
+                // Far out-of-box inputs clamp to the guard band
                 // (t = 1.1 → 54 µm), still safely inside the pitch.
                 assert!((widths[3].as_micrometers() - 54.0).abs() < 1e-9);
             }
@@ -756,17 +903,7 @@ mod tests {
             segments: 2,
             ..OptimizationConfig::fast()
         };
-        let problem = WidthProblem {
-            base: &model,
-            config: &config,
-            n_cols: 1,
-            w_min: params.w_min.si(),
-            w_max: params.w_max.si(),
-            dp_max: params.dp_max.si(),
-            solve: SolveOptions::with_mesh_intervals(64),
-            j_scale: 1.0,
-            pool: WorkspacePool::new(),
-        };
+        let problem = WidthProblem::new(&model, &config);
         // All-minimum widths exceed ΔP_max at the calibrated flow → g > 0.
         let g_min = problem.inequality(&[0.0, 0.0]);
         assert!(g_min[0] > 0.0, "min width should violate: g = {}", g_min[0]);
@@ -775,22 +912,146 @@ mod tests {
         assert!(g_max[0] < 0.0, "max width should satisfy: g = {}", g_max[0]);
     }
 
+    /// Central differences of `f` over every coordinate of `x`.
+    fn central(x: &[f64], f: impl Fn(&[f64]) -> Vec<f64>) -> Vec<Vec<f64>> {
+        let h = 1e-5;
+        let mut rows = Vec::new();
+        for k in 0..x.len() {
+            let (mut xp, mut xm) = (x.to_vec(), x.to_vec());
+            xp[k] += h;
+            xm[k] -= h;
+            let column: Vec<f64> = f(&xp)
+                .iter()
+                .zip(f(&xm))
+                .map(|(p, m)| (p - m) / (2.0 * h))
+                .collect();
+            rows.push(column);
+        }
+        // Transpose to one row per output component.
+        (0..rows[0].len())
+            .map(|i| rows.iter().map(|r| r[i]).collect())
+            .collect()
+    }
+
+    fn assert_rows_close(exact: &[Vec<f64>], oracle: &[Vec<f64>], what: &str) {
+        assert_eq!(exact.len(), oracle.len(), "{what}: row count");
+        for (i, (e, o)) in exact.iter().zip(oracle).enumerate() {
+            let scale = o.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (k, (a, b)) in e.iter().zip(o).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-6 * scale,
+                    "{what} row {i}, x[{k}]: exact {a} vs oracle {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn width_problem_gradients_match_central_differences() {
+        // Three coupled columns (Eq. 9 caps and Eq. 10 coupling), widths
+        // pinned at both box faces, then the §IV-B dual over the same
+        // widths: every value bit-equal to the plain path, every gradient
+        // and Jacobian row within 1e-6 of the oracle.
+        let params = ModelParams::date2012();
+        let d = Length::from_centimeters(1.0);
+        let columns = [40.0, 90.0, 65.0]
+            .iter()
+            .map(|&q| {
+                ChannelColumn::new(WidthProfile::uniform(params.w_max))
+                    .with_heat_top(HeatProfile::equal_segments(
+                        &[
+                            LinearHeatFlux::from_w_per_m(q),
+                            LinearHeatFlux::from_w_per_m(140.0 - q),
+                        ],
+                        d,
+                    ))
+                    .with_heat_bottom(HeatProfile::uniform(LinearHeatFlux::from_w_per_m(30.0)))
+            })
+            .collect();
+        let model = Model::new(params, d, columns).unwrap();
+        let config = OptimizationConfig {
+            segments: 3,
+            mesh_intervals: 64,
+            ..OptimizationConfig::fast()
+        };
+        let mut problem = WidthProblem::new(&model, &config);
+        problem.j_scale = 3.0e4;
+        let x = [0.0, 0.37, 1.0, 0.81, 0.12, 0.55, 1.0, 0.0, 0.64];
+
+        let e = problem.value_and_gradient(&x);
+        assert_eq!(e.objective.to_bits(), problem.objective(&x).to_bits());
+        assert_eq!(
+            (e.inequality.clone(), e.equality.clone()),
+            problem.constraints(&x)
+        );
+        assert_eq!(e.equality.len(), 3);
+        // The reused scratch model evaluates exactly what a fresh clone of
+        // the base model with the same widths does.
+        let mut fresh = model.clone();
+        for (c, w) in problem.widths_from_x(&x).into_iter().enumerate() {
+            fresh.set_width_profile(c, w).unwrap();
+        }
+        let costs = fresh
+            .solve_costs_with(&problem.solve, &mut SolveWorkspace::new())
+            .unwrap();
+        assert_eq!(
+            e.objective.to_bits(),
+            (costs.gradient_squared / problem.j_scale).to_bits()
+        );
+        let drops: Vec<f64> = fresh
+            .pressure_drops()
+            .unwrap()
+            .iter()
+            .map(|p| p.as_pascals())
+            .collect();
+        assert_eq!(
+            problem.pressure_constraints(&drops),
+            problem.constraints(&x)
+        );
+        assert_rows_close(
+            &[e.gradient],
+            &central(&x, |x| vec![problem.objective(x)]),
+            "objective",
+        );
+        assert_rows_close(
+            &e.inequality_jacobian,
+            &central(&x, |x| problem.inequality(x)),
+            "pressure caps",
+        );
+        assert_rows_close(
+            &e.equality_jacobian,
+            &central(&x, |x| problem.equality(x)),
+            "pressure coupling",
+        );
+
+        let dual = MinPumping {
+            inner: &problem,
+            cost_bound: 2.0e5,
+        };
+        let e = dual.value_and_gradient(&x);
+        assert_eq!(e.objective.to_bits(), dual.objective(&x).to_bits());
+        assert_eq!(
+            (e.inequality.clone(), e.equality.clone()),
+            dual.constraints(&x)
+        );
+        assert_rows_close(
+            &[e.gradient],
+            &central(&x, |x| vec![dual.objective(x)]),
+            "mean drop",
+        );
+        assert_rows_close(
+            &e.inequality_jacobian,
+            &central(&x, |x| dual.inequality(x)),
+            "thermal bound and caps",
+        );
+    }
+
     #[test]
     fn equality_constraints_only_with_multiple_columns() {
         let params = ModelParams::date2012();
         let model = strip(&params);
         let config = OptimizationConfig::fast();
-        let problem = WidthProblem {
-            base: &model,
-            config: &config,
-            n_cols: 1,
-            w_min: params.w_min.si(),
-            w_max: params.w_max.si(),
-            dp_max: params.dp_max.si(),
-            solve: SolveOptions::with_mesh_intervals(64),
-            j_scale: 1.0,
-            pool: WorkspacePool::new(),
-        };
+        let problem = WidthProblem::new(&model, &config);
         assert!(problem.equality(&vec![1.0; config.segments]).is_empty());
     }
 

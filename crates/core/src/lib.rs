@@ -125,7 +125,7 @@ pub mod prelude {
     pub use liquamod_floorplan::{arch, niagara, testcase, PowerLevel};
     pub use liquamod_thermal_model::{
         ChannelColumn, HeatProfile, Model, ModelParams, Solution, SolveOptions, SolveWorkspace,
-        WidthProfile, WorkspacePool,
+        WidthProfile,
     };
     pub use liquamod_units::{
         Length, LinearHeatFlux, Power, Pressure, Temperature, TemperatureDifference,

@@ -22,8 +22,7 @@ use liquamod_units::Length;
 pub struct MpsocConfig {
     /// Model parameters (geometry, coolant, flow, width range).
     pub params: ModelParams,
-    /// Optimizer configuration used at each modulation epoch (`fd_threads`
-    /// is pinned to 1 inside the family, like every sweep path).
+    /// Optimizer configuration used at each modulation epoch.
     pub optimizer: OptimizationConfig,
     /// Channel columns across the flow (`nx`): the finite-volume stack's
     /// channel count and the rasterization width. Full physical fidelity is
@@ -148,8 +147,6 @@ impl MpsocConfig {
 #[derive(Debug, Clone)]
 pub struct MpsocModulated {
     config: MpsocConfig,
-    /// Epoch optimizer with `fd_threads` pinned to 1.
-    opt_config: OptimizationConfig,
     solve: SolveOptions,
     die_width: Length,
     die_length: Length,
@@ -170,10 +167,6 @@ impl MpsocModulated {
             });
         }
         Ok(Self {
-            opt_config: OptimizationConfig {
-                fd_threads: 1,
-                ..config.optimizer.clone()
-            },
             solve: SolveOptions::with_mesh_intervals(config.optimizer.mesh_intervals),
             die_width,
             die_length,
@@ -330,7 +323,7 @@ impl ModulatedStack for MpsocModulated {
     ) -> Result<EpochCandidate> {
         self.check_load(load)?;
         let model = self.reduced_model(load)?;
-        let (outcome, next_warm) = optimize_resumed(&model, &self.opt_config, warm)?;
+        let (outcome, next_warm) = optimize_resumed(&model, &self.config.optimizer, warm)?;
         let gradient_k = outcome.solution.thermal_gradient().as_kelvin();
         // Score the incumbent on the same model (columns in cavity-major
         // order, matching the candidate split below).
@@ -352,13 +345,14 @@ impl ModulatedStack for MpsocModulated {
             gradient_k,
             incumbent_gradient_k,
             evaluations: outcome.evaluations,
+            adjoint_solves: outcome.adjoint_solves,
         })
     }
 
     fn sample_widths_um(&self, widths: &CavityProfiles) -> Vec<Vec<f64>> {
         sample_widths_um(
             widths.iter().flatten(),
-            self.opt_config.segments,
+            self.config.optimizer.segments,
             self.die_length,
         )
     }

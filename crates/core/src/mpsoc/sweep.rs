@@ -346,8 +346,8 @@ pub fn evaluate_mpsoc_variant(
 /// Rows come back in grid order whatever the scheduling; parallel and
 /// serial runs of the same grid produce bitwise-identical rows (every
 /// variant is an independent scheduling unit — epoch warm starts chain only
-/// *within* a variant's run — and every family operation is a pure
-/// function with single-threaded finite differences).
+/// *within* a variant's run — and every family operation is a pure,
+/// single-threaded function).
 ///
 /// # Errors
 ///

@@ -11,7 +11,8 @@
 //! | `assembly.full_rebuilds` | symbolic CSR assembly builds (`AssemblyCache`) |
 //! | `assembly.values_only_refreshes` | values-in-place refreshes (`AssemblyCache`) |
 //! | `expstep.matrix_rebuilds` | condensed exponential-integrator matrix builds |
-//! | `optimizer.evaluations` | optimizer objective (BVP) evaluations |
+//! | `optimizer.evaluations` | optimizer objective evaluations (forward BVP solves) |
+//! | `optimizer.adjoint_solves` | evaluations that also solved the adjoint for a gradient |
 //! | `optimizer.warm_start_hits` | optimizer solves that started from a warm point |
 //! | `epoch.adopted` | modulation epochs whose candidate widths were adopted |
 //! | `epoch.rejected` | modulation epochs that kept the incumbent widths |

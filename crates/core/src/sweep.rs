@@ -11,10 +11,9 @@
 //! Guarantees:
 //!
 //! * **Determinism** — results are independent of the execution mode and
-//!   worker count: every variant evaluation is a pure function of its
-//!   inputs, and `fd_threads` is pinned to 1 inside the sweep so the
-//!   scenario-level parallelism owns the cores. Parallel and serial runs
-//!   produce bitwise-identical rows. Warm starting keeps the guarantee
+//!   worker count: every variant evaluation is a pure, single-threaded
+//!   function of its inputs, and the scenario-level fan-out owns the cores.
+//!   Parallel and serial runs produce bitwise-identical rows. Warm starting keeps the guarantee
 //!   because the scheduling unit is a whole flow-scale chain (see
 //!   [`run_sweep`]).
 //! * **Stable ordering** — rows come back in grid order (loads outermost,
@@ -230,10 +229,9 @@ impl ExecutionMode {
 pub struct SweepOptions {
     /// Baseline model parameters each variant perturbs.
     pub params: ModelParams,
-    /// Optimizer configuration used for every variant. The sweep pins
-    /// `fd_threads` to 1 during evaluation: cores belong to the
-    /// scenario-level fan-out, and single-threaded finite differences keep
-    /// results independent of the execution mode.
+    /// Optimizer configuration used for every variant (each variant's
+    /// solve is single-threaded; the cores belong to the scenario-level
+    /// fan-out).
     pub config: OptimizationConfig,
     /// Scheduling mode.
     pub mode: ExecutionMode,
@@ -413,6 +411,10 @@ fn evaluate_variant_warm(
     };
     let cmp = DesignComparison::run_warm(&model, config, start)?;
     obs::add("optimizer.evaluations", cmp.outcome.evaluations as u64);
+    obs::add(
+        "optimizer.adjoint_solves",
+        cmp.outcome.adjoint_solves as u64,
+    );
     let row = SweepRow {
         variant: variant.clone(),
         gradient_min_k: cmp.minimum.gradient_k,
@@ -474,11 +476,7 @@ fn evaluate_chain(
 pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport> {
     let variants = grid.variants();
     let workers = options.resolved_workers().max(1);
-    // Scenario-level fan-out owns the cores; see `SweepOptions::config`.
-    let config = OptimizationConfig {
-        fd_threads: 1,
-        ..options.config.clone()
-    };
+    let config = &options.config;
     // Grid order is loads → flux → flow, so each chunk of `flow_scales.len()`
     // consecutive variants is one flow-scale chain. Cold-started variants
     // are independent, so each one is its own scheduling unit and the full
@@ -503,8 +501,7 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
         c.first()
             .map_or_else(|| "empty chain".to_string(), |v| v.label())
     };
-    let eval =
-        |c: &&[SweepVariant]| evaluate_chain(c, &options.params, &config, options.warm_start);
+    let eval = |c: &&[SweepVariant]| evaluate_chain(c, &options.params, config, options.warm_start);
     let start = Instant::now();
     let chain_results: Vec<Vec<Result<SweepRow>>> = if workers == 1 {
         chains

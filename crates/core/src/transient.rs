@@ -288,8 +288,11 @@ pub struct EpochCandidate {
     /// Steady-state gradient of the incumbent profiles on the same model,
     /// kelvin.
     pub incumbent_gradient_k: f64,
-    /// Objective evaluations the epoch's optimizer spent.
+    /// Objective evaluations the epoch's optimizer spent (forward BVP
+    /// solves).
     pub evaluations: usize,
+    /// How many of those evaluations also solved the adjoint for a gradient.
+    pub adjoint_solves: usize,
 }
 
 /// A stack family the [`ModulationController`] can drive: the bridge
@@ -345,9 +348,8 @@ pub trait ModulatedStack {
 pub struct TransientConfig {
     /// Model parameters (geometry, coolant, flow, width range).
     pub params: ModelParams,
-    /// Optimizer configuration used at each modulation epoch. The
-    /// controller pins `fd_threads` to 1 so scenario-level parallelism owns
-    /// the cores and results are independent of the execution mode.
+    /// Optimizer configuration used at each modulation epoch (each epoch
+    /// solve is single-threaded; scenario-level parallelism owns the cores).
     pub optimizer: OptimizationConfig,
     /// Backward-Euler time step, seconds.
     pub dt_seconds: f64,
@@ -683,9 +685,7 @@ impl TransientOutcome {
 #[derive(Debug, Clone)]
 pub struct StripModulated {
     params: ModelParams,
-    /// Epoch optimizer with `fd_threads` pinned to 1: scenario-level
-    /// parallelism owns the cores and results stay independent of the
-    /// execution mode.
+    /// Epoch optimizer configuration.
     opt_config: OptimizationConfig,
     solve: SolveOptions,
     nz: usize,
@@ -701,10 +701,7 @@ impl StripModulated {
         config.validate()?;
         Ok(Self {
             params: config.params.clone(),
-            opt_config: OptimizationConfig {
-                fd_threads: 1,
-                ..config.optimizer.clone()
-            },
+            opt_config: config.optimizer.clone(),
             solve: SolveOptions::with_mesh_intervals(config.optimizer.mesh_intervals),
             nz: config.nz,
         })
@@ -750,6 +747,7 @@ impl ModulatedStack for StripModulated {
             gradient_k,
             incumbent_gradient_k,
             evaluations: outcome.evaluations,
+            adjoint_solves: outcome.adjoint_solves,
         })
     }
 
@@ -1194,10 +1192,12 @@ impl<S: ModulatedStack> EpochContext<'_, S> {
             gradient_k,
             incumbent_gradient_k,
             evaluations,
+            adjoint_solves,
         } = self
             .family
             .optimize_epoch(load, &self.widths, self.warm.as_ref(), &mut self.ws)?;
         obs::add("optimizer.evaluations", evaluations as u64);
+        obs::add("optimizer.adjoint_solves", adjoint_solves as u64);
         // Never trade into a worse steady design: the incumbent profile is
         // always a feasible fallback.
         let adopted = gradient_k <= incumbent_gradient_k;

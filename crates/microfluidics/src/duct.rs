@@ -70,6 +70,24 @@ impl RectDuct {
             b / a
         }
     }
+
+    /// `∂D_h/∂w_C = 2H_C²/(w_C + H_C)²` at fixed height.
+    pub fn hydraulic_diameter_width_derivative(&self) -> f64 {
+        let (w, h) = (self.width.si(), self.height.si());
+        2.0 * h * h / ((w + h) * (w + h))
+    }
+
+    /// `∂α/∂w_C` at fixed height: `1/H_C` on the `w_C ≤ H_C` branch (the one
+    /// [`RectDuct::aspect_ratio`] takes at the kink `w_C = H_C`) and
+    /// `−H_C/w_C²` above it.
+    pub fn aspect_ratio_width_derivative(&self) -> f64 {
+        let (w, h) = (self.width.si(), self.height.si());
+        if w <= h {
+            1.0 / h
+        } else {
+            -h / (w * w)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +132,25 @@ mod tests {
         let d = duct(10.0, 100.0);
         assert!((d.hydraulic_diameter().as_micrometers() - 2000.0 / 110.0).abs() < 1e-6);
         assert!((d.aspect_ratio() - 0.1).abs() < 1e-12);
+    }
+
+    #[test]
+    fn width_derivatives_match_central_differences() {
+        // Both sides of the aspect-ratio kink at w = H.
+        for w_um in [10.0, 50.0, 99.0, 101.0, 180.0] {
+            let h = 1e-9;
+            let at = |dw: f64| duct(w_um + dw * 1e6, 100.0);
+            let d = duct(w_um, 100.0);
+            let fd_dh =
+                (at(h).hydraulic_diameter().si() - at(-h).hydraulic_diameter().si()) / (2.0 * h);
+            let fd_a = (at(h).aspect_ratio() - at(-h).aspect_ratio()) / (2.0 * h);
+            let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+            assert!(rel(d.hydraulic_diameter_width_derivative(), fd_dh) < 1e-6);
+            assert!(
+                rel(d.aspect_ratio_width_derivative(), fd_a) < 1e-6,
+                "w = {w_um}"
+            );
+        }
     }
 
     #[test]

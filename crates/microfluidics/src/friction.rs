@@ -39,6 +39,21 @@ pub fn f_times_re(model: FrictionModel, duct: &RectDuct) -> f64 {
     }
 }
 
+/// `∂(f·Re)/∂w_C` at fixed channel height (zero for the circular-duct
+/// constant).
+pub fn f_times_re_width_derivative(model: FrictionModel, duct: &RectDuct) -> f64 {
+    match model {
+        FrictionModel::LaminarCircular => 0.0,
+        FrictionModel::ShahLondonRect => {
+            let a = duct.aspect_ratio();
+            96.0 * (-1.3553 + 2.0 * 1.9467 * a - 3.0 * 1.7012 * a.powi(2)
+                + 4.0 * 0.9564 * a.powi(3)
+                - 5.0 * 0.2537 * a.powi(4))
+                * duct.aspect_ratio_width_derivative()
+        }
+    }
+}
+
 /// Darcy friction factor `f = (f·Re)/Re` for a given Reynolds number.
 ///
 /// # Panics

@@ -47,7 +47,7 @@ mod reynolds;
 pub use coolant::Coolant;
 pub use duct::RectDuct;
 pub use error::MicrofluidicsError;
-pub use reynolds::{mean_velocity, reynolds_number};
+pub use reynolds::{mean_velocity, reynolds_number, reynolds_number_width_derivative};
 
 /// Convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, MicrofluidicsError>;

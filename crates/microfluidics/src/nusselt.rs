@@ -55,6 +55,25 @@ pub fn nusselt(correlation: NusseltCorrelation, duct: &RectDuct) -> f64 {
     }
 }
 
+/// `∂Nu/∂w_C` of [`nusselt`] at fixed channel height: the polynomial's
+/// slope in `α` times [`RectDuct::aspect_ratio_width_derivative`].
+pub fn nusselt_width_derivative(correlation: NusseltCorrelation, duct: &RectDuct) -> f64 {
+    let a = duct.aspect_ratio();
+    let slope = match correlation {
+        NusseltCorrelation::ShahLondonH1 => {
+            8.235
+                * (-2.0421 + 2.0 * 3.0853 * a - 3.0 * 2.4765 * a.powi(2) + 4.0 * 1.0578 * a.powi(3)
+                    - 5.0 * 0.1861 * a.powi(4))
+        }
+        NusseltCorrelation::ShahLondonT => {
+            7.541
+                * (-2.610 + 2.0 * 4.970 * a - 3.0 * 5.119 * a.powi(2) + 4.0 * 2.702 * a.powi(3)
+                    - 5.0 * 0.548 * a.powi(4))
+        }
+    };
+    slope * duct.aspect_ratio_width_derivative()
+}
+
 /// Convective heat-transfer coefficient `h = Nu · k_f / D_h`.
 pub fn heat_transfer_coefficient(
     correlation: NusseltCorrelation,
@@ -92,6 +111,37 @@ pub fn nusselt_developing(
     let z = z_m.max(dh);
     let z_star = (z / dh) / (reynolds * coolant.prandtl()).max(1e-12);
     nu_fd + 0.0668 / z_star / (1.0 + 0.04 * z_star.powf(-2.0 / 3.0))
+}
+
+/// `∂Nu/∂w_C` of [`nusselt_developing`] at fixed height, flow rate and
+/// `z_m`, given the Reynolds number and its own width derivative
+/// `reynolds_width_derivative` (see
+/// [`crate::reynolds_number_width_derivative`]). Follows the same
+/// branches as the value: the entry distance clamps to `D_h` (and then moves
+/// with it) and `Re·Pr` clamps at `1e-12`.
+pub fn nusselt_developing_width_derivative(
+    correlation: NusseltCorrelation,
+    duct: &RectDuct,
+    coolant: &Coolant,
+    reynolds: f64,
+    reynolds_width_derivative: f64,
+    z_m: f64,
+) -> f64 {
+    let dh = duct.hydraulic_diameter().si();
+    let d_dh = duct.hydraulic_diameter_width_derivative();
+    let (z, d_z) = if z_m > dh { (z_m, 0.0) } else { (dh, d_dh) };
+    let rp = reynolds * coolant.prandtl();
+    let (rp, d_rp) = if rp > 1e-12 {
+        (rp, reynolds_width_derivative * coolant.prandtl())
+    } else {
+        (1e-12, 0.0)
+    };
+    let z_star = (z / dh) / rp;
+    let d_z_star = z_star * (d_z / z - d_dh / dh - d_rp / rp);
+    // 0.0668/z*/(1 + 0.04·z*^(−2/3)) = 0.0668/g with g = z* + 0.04·z*^(1/3).
+    let g = z_star + 0.04 * z_star.cbrt();
+    let d_g = 1.0 + 0.04 / 3.0 * z_star.powf(-2.0 / 3.0);
+    nusselt_width_derivative(correlation, duct) - 0.0668 * d_g / (g * g) * d_z_star
 }
 
 #[cfg(test)]
@@ -193,6 +243,47 @@ mod tests {
         let water = Coolant::water_300k();
         let nu = nusselt_developing(NusseltCorrelation::ShahLondonH1, &d, &water, 100.0, 0.0);
         assert!(nu.is_finite() && nu > 0.0);
+    }
+
+    #[test]
+    fn width_derivatives_match_central_differences() {
+        let water = Coolant::water_300k();
+        let flow = liquamod_units::VolumetricFlowRate::from_ml_per_min(0.3);
+        let h = 1e-10;
+        let at = |w_um: f64, dw: f64| duct(w_um + dw * 1e6, 100.0);
+        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-12);
+        for corr in [
+            NusseltCorrelation::ShahLondonH1,
+            NusseltCorrelation::ShahLondonT,
+        ] {
+            // Both sides of the aspect-ratio kink at w = H.
+            for w_um in [10.0, 35.0, 50.0, 99.0, 130.0] {
+                let fd = (nusselt(corr, &at(w_um, h)) - nusselt(corr, &at(w_um, -h))) / (2.0 * h);
+                let exact = nusselt_width_derivative(corr, &duct(w_um, 100.0));
+                assert!(
+                    rel(exact, fd) < 1e-6,
+                    "{corr:?} w = {w_um}: {exact} vs {fd}"
+                );
+                // Entry region (z clamped to D_h), mid-channel and far field.
+                for z_m in [0.0, 1e-4, 3e-3, 0.5] {
+                    let dev = |dw: f64| {
+                        let d = at(w_um, dw);
+                        let re = crate::reynolds_number(&d, &water, flow);
+                        nusselt_developing(corr, &d, &water, re, z_m)
+                    };
+                    let fd = (dev(h) - dev(-h)) / (2.0 * h);
+                    let d = duct(w_um, 100.0);
+                    let re = crate::reynolds_number(&d, &water, flow);
+                    let d_re = crate::reynolds_number_width_derivative(&d, &water, flow);
+                    let exact =
+                        nusselt_developing_width_derivative(corr, &d, &water, re, d_re, z_m);
+                    assert!(
+                        rel(exact, fd) < 1e-6,
+                        "{corr:?} w = {w_um}, z = {z_m}: {exact} vs {fd}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,27 @@ pub fn pressure_gradient(
     fre / 8.0 * mu * v * (h + w).powi(2) / (h * w).powi(3)
 }
 
+/// `∂(dP/dz)/∂w_C` of [`pressure_gradient`] at fixed height and flow rate
+/// (Pa/m²): the Eq. (9) integrand's width slope, including the `f·Re`
+/// shape term when the friction model depends on the aspect ratio.
+pub fn pressure_gradient_width_derivative(
+    model: FrictionModel,
+    duct: &RectDuct,
+    coolant: &Coolant,
+    flow_rate: VolumetricFlowRate,
+) -> f64 {
+    let fre = friction::f_times_re(model, duct);
+    let d_fre = friction::f_times_re_width_derivative(model, duct);
+    let mu = coolant.dynamic_viscosity().si();
+    let v = flow_rate.as_m3_per_s();
+    let w = duct.width().si();
+    let h = duct.height().si();
+    // d/dw [(h + w)²/(h·w)³] = (h + w)/(h·w)³ · (2 − 3(h + w)/w).
+    let shape = (h + w).powi(2) / (h * w).powi(3);
+    let d_shape = (h + w) / (h * w).powi(3) * (2.0 - 3.0 * (h + w) / w);
+    mu * v / 8.0 * (d_fre * shape + fre * d_shape)
+}
+
 /// Pressure drop across a channel of *uniform* width.
 ///
 /// # Errors
@@ -160,6 +181,32 @@ mod tests {
     /// The paper's Eq. (9) integrand, written verbatim for cross-checking.
     fn eq9_integrand(mu: f64, v: f64, hc: f64, wc: f64) -> f64 {
         8.0 * mu * v * (hc + wc).powi(2) / (hc * wc).powi(3)
+    }
+
+    #[test]
+    fn gradient_width_derivative_matches_central_differences() {
+        let water = Coolant::water_300k();
+        let flow = VolumetricFlowRate::from_ml_per_min(0.3);
+        let h = 1e-10;
+        for model in [
+            FrictionModel::LaminarCircular,
+            FrictionModel::ShahLondonRect,
+        ] {
+            // Both sides of the aspect-ratio kink at w = H.
+            for w_um in [10.0, 30.0, 50.0, 99.0, 140.0] {
+                let at = |dw: f64| {
+                    let duct = paper_duct(w_um + dw * 1e6);
+                    pressure_gradient(model, &duct, &water, flow)
+                };
+                let fd = (at(h) - at(-h)) / (2.0 * h);
+                let exact =
+                    pressure_gradient_width_derivative(model, &paper_duct(w_um), &water, flow);
+                assert!(
+                    ((exact - fd) / fd).abs() < 1e-6,
+                    "{model:?} w = {w_um}: {exact} vs {fd}"
+                );
+            }
+        }
     }
 
     #[test]

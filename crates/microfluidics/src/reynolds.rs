@@ -20,6 +20,18 @@ pub fn reynolds_number(duct: &RectDuct, coolant: &Coolant, flow_rate: Volumetric
         / coolant.dynamic_viscosity().si()
 }
 
+/// `∂Re/∂w_C` at fixed height and flow rate:
+/// `Re·(∂D_h/∂w_C / D_h − 1/w_C)` (the mean velocity falls as `1/w_C`).
+pub fn reynolds_number_width_derivative(
+    duct: &RectDuct,
+    coolant: &Coolant,
+    flow_rate: VolumetricFlowRate,
+) -> f64 {
+    let re = reynolds_number(duct, coolant, flow_rate);
+    re * (duct.hydraulic_diameter_width_derivative() / duct.hydraulic_diameter().si()
+        - 1.0 / duct.width().si())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

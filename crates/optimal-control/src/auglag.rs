@@ -16,7 +16,7 @@
 //! coupling across channels is a set of equalities.
 
 use crate::lbfgs::{lbfgs_b, LbfgsOptions};
-use crate::{Bounds, ConstrainedObjective, Objective};
+use crate::{Bounds, ConstrainedGradient, ConstrainedObjective, Objective};
 
 /// Options for [`augmented_lagrangian`].
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +64,11 @@ pub struct AugLagResult {
     pub max_equality_violation: f64,
     /// Outer iterations taken.
     pub outer_iterations: usize,
-    /// Total objective evaluations across all inner solves.
+    /// Total objective evaluations across all inner solves (each one
+    /// evaluates `f`, `g` and `h` once).
     pub evaluations: usize,
+    /// How many of those evaluations also produced the gradients.
+    pub gradient_evaluations: usize,
     /// Final multipliers for the inequalities.
     pub inequality_multipliers: Vec<f64>,
     /// Final multipliers for the equalities.
@@ -119,15 +122,9 @@ struct AugLagInner<'a, P: ConstrainedObjective + ?Sized> {
     mu: f64,
 }
 
-impl<P: ConstrainedObjective + ?Sized> Objective for AugLagInner<'_, P> {
-    fn dim(&self) -> usize {
-        self.problem.dim()
-    }
-
-    fn value(&self, x: &[f64]) -> f64 {
-        let f = self.problem.objective(x);
-        let g = self.problem.inequality(x);
-        let h = self.problem.equality(x);
+impl<P: ConstrainedObjective + ?Sized> AugLagInner<'_, P> {
+    /// `L(x; λ, ν, μ)` from the problem's values at `x`.
+    fn augmented(&self, f: f64, g: &[f64], h: &[f64]) -> f64 {
         let mut value = f;
         for (gi, nui) in g.iter().zip(&self.nu) {
             let t = (nui + self.mu * gi).max(0.0);
@@ -137,6 +134,46 @@ impl<P: ConstrainedObjective + ?Sized> Objective for AugLagInner<'_, P> {
             value += lj * hj + 0.5 * self.mu * hj * hj;
         }
         value
+    }
+}
+
+impl<P: ConstrainedObjective + ?Sized> Objective for AugLagInner<'_, P> {
+    fn dim(&self) -> usize {
+        self.problem.dim()
+    }
+
+    fn value(&self, x: &[f64]) -> f64 {
+        let f = self.problem.objective(x);
+        let (g, h) = self.problem.constraints(x);
+        self.augmented(f, &g, &h)
+    }
+
+    /// `∇L = ∇f + Σᵢ max(0, νᵢ + μ·gᵢ)·∇gᵢ + Σⱼ (λⱼ + μ·hⱼ)·∇hⱼ`.
+    fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+        let ConstrainedGradient {
+            objective,
+            gradient,
+            inequality,
+            inequality_jacobian,
+            equality,
+            equality_jacobian,
+        } = self.problem.value_and_gradient(x);
+        grad.copy_from_slice(&gradient);
+        for ((gi, nui), row) in inequality.iter().zip(&self.nu).zip(&inequality_jacobian) {
+            let t = (nui + self.mu * gi).max(0.0);
+            if t > 0.0 {
+                for (d, r) in grad.iter_mut().zip(row) {
+                    *d += t * r;
+                }
+            }
+        }
+        for ((hj, lj), row) in equality.iter().zip(&self.lambda).zip(&equality_jacobian) {
+            let t = lj + self.mu * hj;
+            for (d, r) in grad.iter_mut().zip(row) {
+                *d += t * r;
+            }
+        }
+        self.augmented(objective, &inequality, &equality)
     }
 }
 
@@ -175,8 +212,10 @@ pub fn augmented_lagrangian_warm(
     warm: Option<&AugLagWarmStart>,
 ) -> AugLagResult {
     let mut x = bounds.projected(x0);
-    let n_ineq = problem.inequality(&x).len();
-    let n_eq = problem.equality(&x).len();
+    let (n_ineq, n_eq) = {
+        let (g, h) = problem.constraints(&x);
+        (g.len(), h.len())
+    };
     let dual = warm.filter(|w| {
         w.inequality_multipliers.len() == n_ineq
             && w.equality_multipliers.len() == n_eq
@@ -203,6 +242,7 @@ pub fn augmented_lagrangian_warm(
         },
     };
     let mut evaluations = 0;
+    let mut gradient_evaluations = 0;
     let mut prev_violation = f64::INFINITY;
     let mut outer_iterations = 0;
 
@@ -210,10 +250,10 @@ pub fn augmented_lagrangian_warm(
         outer_iterations += 1;
         let result = lbfgs_b(&inner, bounds, &x, &options.inner);
         evaluations += result.evaluations;
+        gradient_evaluations += result.gradient_evaluations;
         x = result.x;
 
-        let g = problem.inequality(&x);
-        let h = problem.equality(&x);
+        let (g, h) = problem.constraints(&x);
         let v = violation(&g, &h);
         if v <= options.violation_tol {
             break;
@@ -239,8 +279,7 @@ pub fn augmented_lagrangian_warm(
         }
     }
 
-    let g = problem.inequality(&x);
-    let h = problem.equality(&x);
+    let (g, h) = problem.constraints(&x);
     let max_ineq = g.iter().map(|v| v.max(0.0)).fold(0.0, f64::max);
     let max_eq = h.iter().map(|v| v.abs()).fold(0.0, f64::max);
     AugLagResult {
@@ -249,6 +288,7 @@ pub fn augmented_lagrangian_warm(
         max_equality_violation: max_eq,
         outer_iterations,
         evaluations,
+        gradient_evaluations,
         inequality_multipliers: inner.nu,
         equality_multipliers: inner.lambda,
         penalty: inner.mu,
@@ -272,6 +312,15 @@ mod tests {
         }
         fn inequality(&self, x: &[f64]) -> Vec<f64> {
             vec![x[0] - 1.0]
+        }
+        fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+            ConstrainedGradient {
+                objective: self.objective(x),
+                gradient: vec![2.0 * (x[0] - 2.0)],
+                inequality: self.inequality(x),
+                inequality_jacobian: vec![vec![1.0]],
+                ..ConstrainedGradient::default()
+            }
         }
     }
 
@@ -299,6 +348,15 @@ mod tests {
         fn equality(&self, x: &[f64]) -> Vec<f64> {
             vec![x[0] + x[1] - 1.0]
         }
+        fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+            ConstrainedGradient {
+                objective: self.objective(x),
+                gradient: vec![2.0 * x[0], 2.0 * x[1]],
+                equality: self.equality(x),
+                equality_jacobian: vec![vec![1.0, 1.0]],
+                ..ConstrainedGradient::default()
+            }
+        }
     }
 
     #[test]
@@ -323,6 +381,15 @@ mod tests {
         }
         fn inequality(&self, x: &[f64]) -> Vec<f64> {
             vec![x[0] - 1.0]
+        }
+        fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+            ConstrainedGradient {
+                objective: self.objective(x),
+                gradient: vec![2.0 * (x[0] - 0.2)],
+                inequality: self.inequality(x),
+                inequality_jacobian: vec![vec![1.0]],
+                ..ConstrainedGradient::default()
+            }
         }
     }
 
@@ -354,6 +421,16 @@ mod tests {
         fn equality(&self, x: &[f64]) -> Vec<f64> {
             vec![x[0] + x[1] - 2.0]
         }
+        fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+            ConstrainedGradient {
+                objective: self.objective(x),
+                gradient: vec![2.0 * (x[0] - 3.0), 2.0 * (x[1] - 3.0)],
+                inequality: self.inequality(x),
+                inequality_jacobian: vec![vec![1.0, -1.0]],
+                equality: self.equality(x),
+                equality_jacobian: vec![vec![1.0, 1.0]],
+            }
+        }
     }
 
     #[test]
@@ -374,6 +451,13 @@ mod tests {
             }
             fn objective(&self, x: &[f64]) -> f64 {
                 (x[0] - 0.3).powi(2)
+            }
+            fn value_and_gradient(&self, x: &[f64]) -> ConstrainedGradient {
+                ConstrainedGradient {
+                    objective: self.objective(x),
+                    gradient: vec![2.0 * (x[0] - 0.3)],
+                    ..ConstrainedGradient::default()
+                }
             }
         }
         let bounds = Bounds::uniform(1, -1.0, 1.0).unwrap();

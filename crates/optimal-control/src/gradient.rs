@@ -1,18 +1,9 @@
-//! Finite-difference gradients.
+//! Finite-difference gradients — the test oracle.
 //!
-//! The objectives in this stack integrate a boundary-value problem per
-//! evaluation, so the gradient cost is `dim` (forward) or `2·dim` (central)
-//! BVP solves. A multi-threaded forward mode amortizes that over cores;
-//! objectives are required to be `Sync` by the [`crate::Objective`] trait.
-//!
-//! The workers here are scoped threads respawned per gradient call, so
-//! expensive objectives should not tie per-thread state to thread identity.
-//! Instead, they draw per-evaluation scratch from a shared pool (e.g.
-//! `liquamod_thermal_model::WorkspacePool` behind the BVP objectives): each
-//! evaluation checks a workspace out of the pool, whose mutex is held only
-//! for the checkout swap, and the warmed-up buffers survive across gradient
-//! calls, line searches and optimizer iterations regardless of which OS
-//! thread runs them.
+//! The solvers take gradients from [`crate::Objective::value_and_gradient`]
+//! (exact, e.g. by a discrete adjoint). These schemes stay as the reference
+//! those exact gradients are checked against: `dim` (forward) or `2·dim`
+//! (central) objective evaluations per gradient.
 
 use crate::Objective;
 
@@ -62,59 +53,6 @@ pub fn central_diff(obj: &dyn Objective, x: &[f64], relative_step: f64, grad: &m
     }
 }
 
-/// Multi-threaded forward differences over `n_threads` workers (capped at
-/// the dimension). Results are identical to [`forward_diff`]; only the wall
-/// clock differs.
-///
-/// # Panics
-///
-/// Panics if `grad.len() != x.len()` or `n_threads == 0`.
-pub fn forward_diff_parallel(
-    obj: &(dyn Objective + Sync),
-    x: &[f64],
-    f0: f64,
-    relative_step: f64,
-    grad: &mut [f64],
-    n_threads: usize,
-) {
-    assert_eq!(grad.len(), x.len(), "gradient buffer dimension mismatch");
-    assert!(n_threads > 0, "need at least one worker");
-    let n = x.len();
-    let workers = n_threads.min(n).max(1);
-    if workers == 1 {
-        forward_diff(obj, x, f0, relative_step, grad);
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    let chunks: Vec<(usize, &mut [f64])> = {
-        let mut rest = grad;
-        let mut out = Vec::new();
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            out.push((start, head));
-            start += take;
-            rest = tail;
-        }
-        out
-    };
-    std::thread::scope(|scope| {
-        for (start, gslice) in chunks {
-            scope.spawn(move || {
-                let mut xp = x.to_vec();
-                for (k, g) in gslice.iter_mut().enumerate() {
-                    let i = start + k;
-                    let h = step_for(x[i], relative_step);
-                    xp[i] = x[i] + h;
-                    *g = (obj.value(&xp) - f0) / h;
-                    xp[i] = x[i];
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +64,10 @@ mod tests {
         }
         fn value(&self, x: &[f64]) -> f64 {
             (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
+        }
+        fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            grad.copy_from_slice(&exact_grad(x));
+            self.value(x)
         }
     }
 
@@ -165,46 +107,5 @@ mod tests {
                 "component {i}: central {ec} vs forward {ef}"
             );
         }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        struct Sum10;
-        impl Objective for Sum10 {
-            fn dim(&self) -> usize {
-                10
-            }
-            fn value(&self, x: &[f64]) -> f64 {
-                x.iter()
-                    .enumerate()
-                    .map(|(i, v)| (i as f64 + 1.0) * v * v)
-                    .sum()
-            }
-        }
-        let x: Vec<f64> = (0..10).map(|i| 0.1 * i as f64 - 0.4).collect();
-        let f0 = Sum10.value(&x);
-        let mut serial = vec![0.0; 10];
-        let mut parallel = vec![0.0; 10];
-        forward_diff(&Sum10, &x, f0, 1e-6, &mut serial);
-        forward_diff_parallel(&Sum10, &x, f0, 1e-6, &mut parallel, 4);
-        for i in 0..10 {
-            assert!((serial[i] - parallel[i]).abs() < 1e-12, "g[{i}]");
-        }
-    }
-
-    #[test]
-    fn parallel_with_more_threads_than_dims() {
-        struct One;
-        impl Objective for One {
-            fn dim(&self) -> usize {
-                1
-            }
-            fn value(&self, x: &[f64]) -> f64 {
-                3.0 * x[0]
-            }
-        }
-        let mut g = [0.0];
-        forward_diff_parallel(&One, &[2.0], 6.0, 1e-6, &mut g, 16);
-        assert!((g[0] - 3.0).abs() < 1e-5);
     }
 }

@@ -4,11 +4,12 @@
 //! curvature pairs) combined with projection onto the bounds and Armijo
 //! backtracking along the projected ray. Components pinned at an active
 //! bound with an outward-pointing model direction are handled by the
-//! projection itself; curvature pairs that fail the positivity test
-//! (`yᵀs ≤ 0`, which projection can produce) are skipped, falling back to
-//! the well-scaled gradient direction.
+//! projection itself; when that bends the step uphill, the step is retried
+//! on the free variables only (two-metric projection) before the history
+//! is dropped. Curvature pairs that fail the positivity test (`yᵀs ≤ 0`,
+//! which projection can produce) are skipped, falling back to the
+//! well-scaled gradient direction.
 
-use crate::gradient;
 use crate::linesearch::{armijo_projected, ArmijoOptions};
 use crate::report::{OptimizeResult, StopReason};
 use crate::{Bounds, CountingObjective, Objective};
@@ -25,10 +26,6 @@ pub struct LbfgsOptions {
     pub stationarity_tol: f64,
     /// Stop when the per-iteration relative improvement falls below this.
     pub improvement_tol: f64,
-    /// Relative finite-difference step.
-    pub fd_step: f64,
-    /// Worker threads for the finite-difference gradient.
-    pub fd_threads: usize,
 }
 
 impl Default for LbfgsOptions {
@@ -38,8 +35,6 @@ impl Default for LbfgsOptions {
             memory: 8,
             stationarity_tol: 1e-8,
             improvement_tol: 1e-10,
-            fd_step: gradient::DEFAULT_RELATIVE_STEP,
-            fd_threads: 1,
         }
     }
 }
@@ -84,7 +79,9 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// The start point is projected into the bounds first. A non-finite
 /// objective at the start yields an immediate
-/// [`StopReason::LineSearchFailed`] result at the projected start.
+/// [`StopReason::LineSearchFailed`] result at the projected start. Every
+/// accepted iterate costs one [`Objective::value_and_gradient`] call, except
+/// the last one (the run stops there, so its gradient would go unused).
 pub fn lbfgs_b(
     obj: &dyn Objective,
     bounds: &Bounds,
@@ -93,9 +90,10 @@ pub fn lbfgs_b(
 ) -> OptimizeResult {
     let counting = CountingObjective::new(obj);
     let mut x = bounds.projected(x0);
-    let mut f = counting.value(&x);
-    let mut history = vec![f];
     let dim = x.len();
+    let mut grad = vec![0.0; dim];
+    let mut f = counting.value_and_gradient(&x, &mut grad);
+    let mut history = vec![f];
 
     if !f.is_finite() {
         return OptimizeResult {
@@ -103,20 +101,11 @@ pub fn lbfgs_b(
             objective: f,
             iterations: 0,
             evaluations: counting.count(),
+            gradient_evaluations: counting.gradients(),
             stop: StopReason::LineSearchFailed,
             history,
         };
     }
-
-    let mut grad = vec![0.0; dim];
-    gradient::forward_diff_parallel(
-        &counting,
-        &x,
-        f,
-        options.fd_step,
-        &mut grad,
-        options.fd_threads.max(1),
-    );
 
     let mut pairs: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::new();
     let mut stop = StopReason::MaxIterations;
@@ -125,6 +114,7 @@ pub fn lbfgs_b(
     let mut direction: Vec<f64> = Vec::with_capacity(dim);
     let mut alphas: Vec<f64> = Vec::with_capacity(options.memory.max(1));
     let mut grad_scratch: Vec<f64> = vec![0.0; dim];
+    let mut free_grad: Vec<f64> = Vec::with_capacity(dim);
 
     for _ in 0..options.max_iterations {
         iterations += 1;
@@ -139,7 +129,7 @@ pub fn lbfgs_b(
             direction.clear();
             direction.extend_from_slice(&grad);
         }
-        let ls = armijo_projected(
+        let mut ls = armijo_projected(
             &counting,
             bounds,
             &x,
@@ -148,7 +138,39 @@ pub fn lbfgs_b(
             &direction,
             &ArmijoOptions::default(),
         );
-        if ls.step == 0.0 {
+        let binding = |i: usize| {
+            (x[i] <= bounds.lower()[i] && grad[i] > 0.0)
+                || (x[i] >= bounds.upper()[i] && grad[i] < 0.0)
+        };
+        if ls.step == 0.0 && !pairs.is_empty() && (0..dim).any(binding) {
+            // The model couples a component pinned at a bound to the free
+            // ones, which can turn the free part of the projected step
+            // uphill. Retry with the two-metric projection (Bertsekas
+            // 1982) before discarding the history: the model step on the
+            // free variables only, the raw gradient (clamped away by the
+            // projection) on the pinned ones.
+            free_grad.clear();
+            free_grad.extend((0..dim).map(|i| if binding(i) { 0.0 } else { grad[i] }));
+            two_loop(&free_grad, &pairs, &mut direction, &mut alphas);
+            for (i, d) in direction.iter_mut().enumerate() {
+                if binding(i) {
+                    *d = grad[i];
+                }
+            }
+            if dot(&direction, &grad) > 0.0 {
+                ls = armijo_projected(
+                    &counting,
+                    bounds,
+                    &x,
+                    f,
+                    &grad,
+                    &direction,
+                    &ArmijoOptions::default(),
+                );
+            }
+        }
+        let restart = ls.step == 0.0;
+        let ls = if restart {
             // Retry with pure gradient before declaring failure — the
             // quasi-Newton direction can be poor right after projection
             // changes the active set.
@@ -163,9 +185,9 @@ pub fn lbfgs_b(
             );
             if ls_grad.step == 0.0 {
                 // A failed backtracking search from the gradient direction
-                // means the attainable decrease is below the
-                // finite-difference noise floor; after any real progress
-                // that is convergence, not error.
+                // means the attainable decrease is below the round-off floor
+                // of the objective; after any real progress that is
+                // convergence, not error.
                 stop = if history.len() > 1 {
                     StopReason::SmallImprovement
                 } else {
@@ -174,21 +196,22 @@ pub fn lbfgs_b(
                 break;
             }
             pairs.clear();
-            update_state(
-                &counting,
-                options,
-                &mut x,
-                &mut f,
-                &mut grad,
-                &mut grad_scratch,
-                &mut pairs,
-                ls_grad.x,
-                ls_grad.f,
-            );
+            ls_grad
+        } else {
+            ls
+        };
+        // A restarted step is never judged by its improvement: the history
+        // was just cleared and the next quasi-Newton step deserves a try.
+        let small = !restart && (f - ls.f) / f.abs().max(1e-30) < options.improvement_tol;
+        if small || iterations == options.max_iterations {
+            if small {
+                stop = StopReason::SmallImprovement;
+            }
+            x = ls.x;
+            f = ls.f;
             history.push(f);
-            continue;
+            break;
         }
-        let improvement = (f - ls.f) / f.abs().max(1e-30);
         update_state(
             &counting,
             options,
@@ -201,10 +224,6 @@ pub fn lbfgs_b(
             ls.f,
         );
         history.push(f);
-        if improvement < options.improvement_tol {
-            stop = StopReason::SmallImprovement;
-            break;
-        }
     }
 
     OptimizeResult {
@@ -212,6 +231,7 @@ pub fn lbfgs_b(
         objective: f,
         iterations,
         evaluations: counting.count(),
+        gradient_evaluations: counting.gradients(),
         stop,
         history,
     }
@@ -236,13 +256,11 @@ fn update_state<O: Objective + ?Sized>(
 ) {
     grad_scratch.clear();
     grad_scratch.resize(x.len(), 0.0);
-    gradient::forward_diff_parallel(
-        counting,
-        &x_new,
-        f_new,
-        options.fd_step,
-        grad_scratch,
-        options.fd_threads.max(1),
+    let f_check = counting.value_and_gradient(&x_new, grad_scratch);
+    debug_assert_eq!(
+        f_check.to_bits(),
+        f_new.to_bits(),
+        "value_and_gradient must reproduce value bit for bit"
     );
     let grad_new = grad_scratch;
     // Positivity test without materializing (s, y): identical summation
@@ -289,6 +307,11 @@ mod tests {
         fn value(&self, x: &[f64]) -> f64 {
             (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
         }
+        fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
+            grad[1] = 200.0 * (x[1] - x[0] * x[0]);
+            self.value(x)
+        }
     }
 
     #[test]
@@ -319,6 +342,11 @@ mod tests {
             fn value(&self, x: &[f64]) -> f64 {
                 (x[0] - 2.0).powi(2) + (x[1] - 2.0).powi(2)
             }
+            fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+                grad[0] = 2.0 * (x[0] - 2.0);
+                grad[1] = 2.0 * (x[1] - 2.0);
+                self.value(x)
+            }
         }
         let bounds = Bounds::uniform(2, -1.0, 1.0).unwrap();
         let r = lbfgs_b(&Shifted, &bounds, &[0.0, 0.0], &LbfgsOptions::default());
@@ -338,6 +366,12 @@ mod tests {
                     .enumerate()
                     .map(|(i, v)| 10f64.powi(i as i32) * (v - 0.5) * (v - 0.5))
                     .sum()
+            }
+            fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+                for (i, (g, v)) in grad.iter_mut().zip(x).enumerate() {
+                    *g = 2.0 * 10f64.powi(i as i32) * (v - 0.5);
+                }
+                self.value(x)
             }
         }
         let bounds = Bounds::uniform(4, 0.0, 1.0).unwrap();
@@ -384,6 +418,10 @@ mod tests {
             }
             fn value(&self, x: &[f64]) -> f64 {
                 (x[0] - 0.25).powi(2)
+            }
+            fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+                grad[0] = 2.0 * (x[0] - 0.25);
+                self.value(x)
             }
         }
         let bounds = Bounds::uniform(1, 0.0, 1.0).unwrap();

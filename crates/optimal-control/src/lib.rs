@@ -9,11 +9,13 @@
 //! nonlinear program over the segment values. This crate supplies that NLP
 //! layer, from scratch:
 //!
-//! * [`Objective`] / [`ConstrainedObjective`] — problem contracts. Costs are
-//!   expensive (each evaluation integrates a BVP), so evaluation counts are
-//!   tracked in every report.
-//! * [`gradient`] — forward/central finite differences, with an optional
-//!   multi-threaded forward mode for expensive objectives.
+//! * [`Objective`] / [`ConstrainedObjective`] — problem contracts, each with
+//!   a fused value-and-gradient method the solvers call once per accepted
+//!   iterate. Costs are expensive (each evaluation integrates a BVP, each
+//!   gradient adds an adjoint solve), so both counts are tracked in every
+//!   report.
+//! * [`gradient`] — forward/central finite differences, kept as the oracle
+//!   exact gradients are tested against.
 //! * [`Bounds`] — box constraints with projection (the natural home of the
 //!   paper's width bounds).
 //! * [`projected_gradient`] / [`lbfgs_b`] — projected first-order and
@@ -32,6 +34,11 @@
 //!     fn dim(&self) -> usize { 2 }
 //!     fn value(&self, x: &[f64]) -> f64 {
 //!         (x[0] - 3.0).powi(2) + 10.0 * (x[1] + 1.0).powi(2)
+//!     }
+//!     fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+//!         grad[0] = 2.0 * (x[0] - 3.0);
+//!         grad[1] = 20.0 * (x[1] + 1.0);
+//!         self.value(x)
 //!     }
 //! }
 //!
@@ -64,7 +71,7 @@ pub use bounds::Bounds;
 pub use error::OptimalControlError;
 pub use lbfgs::{lbfgs_b, LbfgsOptions};
 pub use neldermead::{nelder_mead, NelderMeadOptions};
-pub use problem::{ConstrainedObjective, CountingObjective, Objective};
+pub use problem::{ConstrainedGradient, ConstrainedObjective, CountingObjective, Objective};
 pub use projgrad::{projected_gradient, ProjGradOptions};
 pub use report::{OptimizeResult, StopReason};
 

@@ -122,8 +122,8 @@ pub(crate) fn armijo_projected(
 
     // Forward tracking: only when the *first* trial succeeded, expand the
     // step while the objective keeps strictly improving and the Armijo test
-    // still holds. Without this, a quasi-Newton model gone stale (e.g. from
-    // finite-difference noise rejecting curvature pairs) can emit tiny
+    // still holds. Without this, a quasi-Newton model gone stale (e.g. after
+    // the active set changed or curvature pairs were rejected) can emit tiny
     // always-accepted directions and crawl.
     if step == options.initial_step {
         let mut grow = step * 2.0;
@@ -158,6 +158,11 @@ mod tests {
         }
         fn value(&self, x: &[f64]) -> f64 {
             x[0] * x[0] + 4.0 * x[1] * x[1]
+        }
+        fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            grad[0] = 2.0 * x[0];
+            grad[1] = 8.0 * x[1];
+            self.value(x)
         }
     }
 

@@ -146,6 +146,7 @@ pub fn nelder_mead(
         objective: f,
         iterations,
         evaluations: counting.count(),
+        gradient_evaluations: 0,
         stop,
         history,
     }
@@ -167,6 +168,12 @@ mod tests {
                 .zip(&self.center)
                 .map(|(a, b)| (a - b) * (a - b))
                 .sum()
+        }
+        fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            for ((g, a), b) in grad.iter_mut().zip(x).zip(&self.center) {
+                *g = 2.0 * (a - b);
+            }
+            self.value(x)
         }
     }
 
@@ -209,6 +216,11 @@ mod tests {
             }
             fn value(&self, x: &[f64]) -> f64 {
                 (1.0 - x[0]).powi(2) + 100.0 * (x[1] - x[0] * x[0]).powi(2)
+            }
+            fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+                grad[0] = -2.0 * (1.0 - x[0]) - 400.0 * x[0] * (x[1] - x[0] * x[0]);
+                grad[1] = 200.0 * (x[1] - x[0] * x[0]);
+                self.value(x)
             }
         }
         let bounds = Bounds::uniform(2, -2.0, 2.0).unwrap();

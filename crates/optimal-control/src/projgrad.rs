@@ -1,6 +1,5 @@
 //! Projected gradient descent with Armijo backtracking.
 
-use crate::gradient;
 use crate::linesearch::{armijo_projected, ArmijoOptions};
 use crate::report::{OptimizeResult, StopReason};
 use crate::{Bounds, CountingObjective, Objective};
@@ -14,10 +13,6 @@ pub struct ProjGradOptions {
     pub stationarity_tol: f64,
     /// Stop when the per-iteration relative improvement falls below this.
     pub improvement_tol: f64,
-    /// Relative finite-difference step.
-    pub fd_step: f64,
-    /// Worker threads for the finite-difference gradient.
-    pub fd_threads: usize,
 }
 
 impl Default for ProjGradOptions {
@@ -26,8 +21,6 @@ impl Default for ProjGradOptions {
             max_iterations: 200,
             stationarity_tol: 1e-8,
             improvement_tol: 1e-10,
-            fd_step: gradient::DEFAULT_RELATIVE_STEP,
-            fd_threads: 1,
         }
     }
 }
@@ -46,10 +39,9 @@ pub fn projected_gradient(
 ) -> OptimizeResult {
     let counting = CountingObjective::new(obj);
     let mut x = bounds.projected(x0);
-    let mut f = counting.value(&x);
+    let mut grad = vec![0.0; x.len()];
+    let mut f = counting.value_and_gradient(&x, &mut grad);
     let mut history = vec![f];
-    let dim = x.len();
-    let mut grad = vec![0.0; dim];
 
     if !f.is_finite() {
         return OptimizeResult {
@@ -57,6 +49,7 @@ pub fn projected_gradient(
             objective: f,
             iterations: 0,
             evaluations: counting.count(),
+            gradient_evaluations: counting.gradients(),
             stop: StopReason::LineSearchFailed,
             history,
         };
@@ -67,14 +60,6 @@ pub fn projected_gradient(
     let mut step_hint = 1.0;
     for _ in 0..options.max_iterations {
         iterations += 1;
-        gradient::forward_diff_parallel(
-            &counting,
-            &x,
-            f,
-            options.fd_step,
-            &mut grad,
-            options.fd_threads.max(1),
-        );
         if bounds.stationarity(&x, &grad) < options.stationarity_tol {
             stop = StopReason::Stationary;
             break;
@@ -96,7 +81,7 @@ pub fn projected_gradient(
         );
         if ls.step == 0.0 {
             // A failed backtracking search from a descent direction means
-            // the attainable decrease is below the finite-difference noise
+            // the attainable decrease is below the objective's round-off
             // floor; after any real progress that is convergence, not error.
             stop = if history.len() > 1 {
                 StopReason::SmallImprovement
@@ -115,6 +100,10 @@ pub fn projected_gradient(
             stop = StopReason::SmallImprovement;
             break;
         }
+        if iterations < options.max_iterations {
+            let f_check = counting.value_and_gradient(&x, &mut grad);
+            debug_assert_eq!(f_check.to_bits(), f.to_bits());
+        }
     }
 
     OptimizeResult {
@@ -122,6 +111,7 @@ pub fn projected_gradient(
         objective: f,
         iterations,
         evaluations: counting.count(),
+        gradient_evaluations: counting.gradients(),
         stop,
         history,
     }
@@ -144,6 +134,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, (xi, ci))| (1.0 + i as f64) * (xi - ci) * (xi - ci))
                 .sum()
+        }
+        fn value_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
+            for (i, ((g, xi), ci)) in grad.iter_mut().zip(x).zip(&self.center).enumerate() {
+                *g = 2.0 * (1.0 + i as f64) * (xi - ci);
+            }
+            self.value(x)
         }
     }
 
@@ -211,6 +207,10 @@ mod tests {
                 1
             }
             fn value(&self, _x: &[f64]) -> f64 {
+                f64::NAN
+            }
+            fn value_and_gradient(&self, _x: &[f64], grad: &mut [f64]) -> f64 {
+                grad.fill(f64::NAN);
                 f64::NAN
             }
         }

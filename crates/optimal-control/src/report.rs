@@ -24,8 +24,12 @@ pub struct OptimizeResult {
     pub objective: f64,
     /// Iterations taken.
     pub iterations: usize,
-    /// Objective evaluations consumed (including finite differences).
+    /// Objective evaluations consumed: every value and every
+    /// value-and-gradient call (for a BVP objective, forward solves).
     pub evaluations: usize,
+    /// How many of those evaluations also produced a gradient (for a BVP
+    /// objective, adjoint solves).
+    pub gradient_evaluations: usize,
     /// Why the solver stopped.
     pub stop: StopReason,
     /// Objective value after each iteration (for convergence plots).
@@ -62,6 +66,7 @@ mod tests {
             objective: 1.0,
             iterations: 3,
             evaluations: 12,
+            gradient_evaluations: 4,
             stop: StopReason::Stationary,
             history: vec![4.0, 2.0, 1.0],
         };
@@ -79,6 +84,7 @@ mod tests {
             objective: 1.0,
             iterations: 0,
             evaluations: 0,
+            gradient_evaluations: 0,
             stop: StopReason::Stationary,
             history: vec![4.0, 1.0],
         };

@@ -97,7 +97,8 @@ pub(crate) struct BvpWorkspace {
     mat: BandedMatrix,
     /// Right-hand side, overwritten with the solution by the solve.
     pub rhs: Vec<f64>,
-    /// Factorization storage, swapped with `mat` each solve.
+    /// Factorization storage, swapped with `mat` each solve; still holds
+    /// the factors after the solve, for [`BvpWorkspace::solve_adjoint`].
     lu: BandedLu,
     /// Dense `A(z)` scratch for [`Coefficients::eval`].
     a: Vec<f64>,
@@ -114,6 +115,16 @@ impl BvpWorkspace {
             a: Vec::new(),
             b: Vec::new(),
         }
+    }
+
+    /// Solves `Mᵀλ = c` in place with the factors of the last successful
+    /// [`solve_into`] (the adjoint of the collocation system).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` does not match the last solve's size.
+    pub fn solve_adjoint(&self, c: &mut [f64]) {
+        self.lu.solve_transpose_in_place(c);
     }
 }
 

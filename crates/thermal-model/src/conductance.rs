@@ -23,7 +23,7 @@
 //! per-unit-length parameter scales by `m`.
 
 use crate::ModelParams;
-use liquamod_microfluidics::{nusselt, RectDuct};
+use liquamod_microfluidics::{nusselt, MicrofluidicsError, RectDuct};
 use liquamod_units::Length;
 
 /// The Eq. (2) circuit parameters evaluated for one channel element.
@@ -46,6 +46,19 @@ pub struct ElementConductances {
     pub g_vertical: f64,
     /// Advective capacity rate `c_v·V̇` of the grouped coolant stream (W/K).
     pub capacity_rate: f64,
+}
+
+/// Width derivatives of the two width-dependent Eq. (2) parameters at one
+/// element (`ĝ_l`, `ĝ_v,Si` and `c_v·V̇` do not depend on `w_C`). Scaled by
+/// the group size like [`ElementConductances`]; units are those of the
+/// parameter per metre of width.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ConductanceWidthDerivatives {
+    /// `∂ĝ_w/∂w_C`.
+    pub g_wall: f64,
+    /// `∂ĝ_v/∂w_C`, through `ĥ`'s Nusselt number, `D_h` and wetted
+    /// perimeter.
+    pub g_vertical: f64,
 }
 
 impl ElementConductances {
@@ -103,6 +116,76 @@ impl ElementConductances {
             h_conv,
             g_vertical,
             capacity_rate: params.capacity_rate() * m,
+        })
+    }
+
+    /// `∂ĝ_w/∂w_C` and `∂ĝ_v/∂w_C` at the point [`ElementConductances::evaluate`]
+    /// would evaluate, in closed form through the Shah–London slope, `D_h`
+    /// and (with `params.developing_flow`) the entry-length term and `Re`.
+    /// At the aspect-ratio kink `w_C = H_C` the `w_C ≤ H_C` branch is taken,
+    /// like the value.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ElementConductances::evaluate`].
+    pub fn width_derivatives(
+        params: &ModelParams,
+        width: Length,
+        group_size: usize,
+        z_from_inlet: Length,
+    ) -> Result<ConductanceWidthDerivatives, MicrofluidicsError> {
+        let m = group_size as f64;
+        let duct = RectDuct::new(width, params.h_c)?;
+        let (nu, d_nu) = if params.developing_flow {
+            let flow = params.flow_rate_per_channel;
+            let re = liquamod_microfluidics::reynolds_number(&duct, &params.coolant, flow);
+            let d_re = liquamod_microfluidics::reynolds_number_width_derivative(
+                &duct,
+                &params.coolant,
+                flow,
+            );
+            let z = z_from_inlet.si();
+            (
+                nusselt::nusselt_developing(params.nusselt, &duct, &params.coolant, re, z),
+                nusselt::nusselt_developing_width_derivative(
+                    params.nusselt,
+                    &duct,
+                    &params.coolant,
+                    re,
+                    d_re,
+                    z,
+                ),
+            )
+        } else {
+            (
+                nusselt::nusselt(params.nusselt, &duct),
+                nusselt::nusselt_width_derivative(params.nusselt, &duct),
+            )
+        };
+        let k_f = params.coolant.thermal_conductivity().si();
+        let dh = duct.hydraulic_diameter().si();
+        let h_si = nu * k_f / dh;
+        let d_h_si =
+            k_f * (d_nu / dh - nu * duct.hydraulic_diameter_width_derivative() / (dh * dh));
+        let perimeter = width.si() + params.h_c.si();
+        let h_conv = h_si * perimeter * m;
+        let d_h_conv = (d_h_si * perimeter + h_si) * m;
+        let g_vertical_si = params.g_vertical_si() * m;
+        let d_g_vertical = if h_conv == 0.0 || g_vertical_si == 0.0 {
+            0.0
+        } else {
+            // ĝ_v = 1/(1/ĝ_v,Si + 1/ĥ) → ∂ĝ_v = (ĝ_v/ĥ)²·∂ĥ.
+            let g_vertical = 1.0 / (1.0 / g_vertical_si + 1.0 / h_conv);
+            (g_vertical / h_conv).powi(2) * d_h_conv
+        };
+        let d_g_wall = if params.pitch.si() - width.si() > 0.0 {
+            -params.k_si.si() / (2.0 * params.h_si.si() + params.h_c.si()) * m
+        } else {
+            0.0
+        };
+        Ok(ConductanceWidthDerivatives {
+            g_wall: d_g_wall,
+            g_vertical: d_g_vertical,
         })
     }
 
@@ -181,6 +264,47 @@ mod tests {
     fn invalid_width_is_error() {
         let p = ModelParams::date2012();
         assert!(ElementConductances::evaluate(&p, Length::ZERO, 1, Length::ZERO).is_err());
+    }
+
+    #[test]
+    fn width_derivatives_match_central_differences() {
+        // Fully developed and developing flow, grouped columns, and a
+        // shallow channel so widths sit on both sides of the aspect-ratio
+        // kink at w = H_C.
+        let shallow = ModelParams {
+            h_c: um(30.0),
+            ..ModelParams::date2012()
+        };
+        let h = 1e-11;
+        for developing_flow in [false, true] {
+            for base in [ModelParams::date2012(), shallow.clone()] {
+                let p = ModelParams {
+                    developing_flow,
+                    ..base
+                };
+                for (w_um, m, z_mm) in [
+                    (10.0, 1, 0.0),
+                    (27.0, 3, 0.02),
+                    (33.0, 1, 4.0),
+                    (50.0, 8, 9.9),
+                ] {
+                    let z = Length::from_millimeters(z_mm);
+                    let at = |dw: f64| {
+                        ElementConductances::evaluate(&p, um(w_um + dw * 1e6), m, z).unwrap()
+                    };
+                    let d = ElementConductances::width_derivatives(&p, um(w_um), m, z).unwrap();
+                    let fd_wall = (at(h).g_wall - at(-h).g_wall) / (2.0 * h);
+                    let fd_vert = (at(h).g_vertical - at(-h).g_vertical) / (2.0 * h);
+                    let rel = |a: f64, b: f64| (a - b).abs() / b.abs();
+                    assert!(rel(d.g_wall, fd_wall) < 1e-6, "g_wall at {w_um} µm");
+                    assert!(
+                        rel(d.g_vertical, fd_vert) < 1e-6,
+                        "g_vertical at {w_um} µm, developing {developing_flow}: {} vs {fd_vert}",
+                        d.g_vertical
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,6 +30,12 @@ pub enum ThermalModelError {
         /// Description of the offending option.
         what: String,
     },
+    /// Width gradients were requested for a column whose profile is not
+    /// uniform or piecewise constant.
+    UnsupportedProfile {
+        /// Column index with the piecewise-linear profile.
+        column: usize,
+    },
 }
 
 impl fmt::Display for ThermalModelError {
@@ -47,6 +53,11 @@ impl fmt::Display for ThermalModelError {
             ThermalModelError::InvalidOptions { what } => {
                 write!(f, "invalid solve options: {what}")
             }
+            ThermalModelError::UnsupportedProfile { column } => write!(
+                f,
+                "column {column} has a piecewise-linear width profile; width gradients \
+                 need uniform or piecewise-constant profiles"
+            ),
         }
     }
 }

@@ -59,14 +59,14 @@ mod solution;
 mod width;
 pub mod workspace;
 
-pub use conductance::ElementConductances;
+pub use conductance::{ConductanceWidthDerivatives, ElementConductances};
 pub use error::ThermalModelError;
 pub use heat::HeatProfile;
-pub use model::{ChannelColumn, CostIntegrals, FlowDirection, Model, SolveOptions};
+pub use model::{ChannelColumn, CostIntegrals, FlowDirection, Model, ObjectiveKind, SolveOptions};
 pub use params::ModelParams;
 pub use solution::{ColumnProfiles, Solution};
 pub use width::WidthProfile;
-pub use workspace::{SolveWorkspace, WorkspacePool};
+pub use workspace::SolveWorkspace;
 
 /// Convenient result alias for fallible operations in this crate.
 pub type Result<T> = std::result::Result<T, ThermalModelError>;

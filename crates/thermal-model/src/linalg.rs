@@ -450,6 +450,51 @@ impl BandedLu {
         self.solve_in_place(&mut x);
         x
     }
+
+    /// Solves the transposed system `Aᵀ y = c` with the same factors,
+    /// overwriting `c` with `y` (the adjoint solve of the width gradient).
+    ///
+    /// The factorization reads `A⁻¹ = U⁻¹·E_{n−1}⋯E_0`, where step `E_k`
+    /// swaps rows `k` and `piv[k]` and then subtracts multiples of row `k`
+    /// from the rows below it. Transposing gives
+    /// `A⁻ᵀ = E_0ᵀ⋯E_{n−1}ᵀ·U⁻ᵀ`: a forward substitution with `Uᵀ`, then
+    /// the steps undone in reverse order, each one gathering the
+    /// multiplier-weighted entries below row `k` into it before the swap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c.len()` does not match the matrix size.
+    pub fn solve_transpose_in_place(&self, c: &mut [f64]) {
+        assert_eq!(c.len(), self.n, "rhs length must match matrix size");
+        let n = self.n;
+        let kl = self.kl;
+        let width = self.width;
+        // Uᵀ z = c, column-oriented over the rows of U: once z[k] is known,
+        // row k of U (column k of Uᵀ) is eliminated from the entries below.
+        for k in 0..n {
+            let row = &self.upper[k * width..k * width + width.min(n - k)];
+            let (head, tail) = c.split_at_mut(k + 1);
+            let zk = head[k] / row[0];
+            head[k] = zk;
+            for (cj, u) in tail.iter_mut().zip(&row[1..]) {
+                *cj -= u * zk;
+            }
+        }
+        // E_kᵀ for k = n−1 … 0: gather, then swap.
+        for k in (0..n).rev() {
+            let taken = kl.min(n - k - 1);
+            let gathered: f64 = self.lower[k * kl..k * kl + taken]
+                .iter()
+                .zip(&c[k + 1..])
+                .map(|(m, ci)| m * ci)
+                .sum();
+            c[k] -= gathered;
+            let p = self.piv[k];
+            if p != k {
+                c.swap(k, p);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -557,10 +602,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn banded_matches_dense_on_random_bands() {
-        // Cross-validate the band factorization against the dense one on
-        // deterministic random banded matrices of several shapes.
+    /// Deterministic random banded systems of several shapes (diagonally
+    /// weighted), each as `(band, dense, n, rhs)`.
+    fn random_band_systems() -> Vec<(BandedMatrix, Vec<f64>, usize, Vec<f64>)> {
         let mut seed = 0xdeadbeefu64;
         let mut rnd = || {
             seed = seed
@@ -568,6 +612,7 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
+        let mut systems = Vec::new();
         for &(n, kl, ku) in &[
             (8usize, 2usize, 1usize),
             (15, 3, 4),
@@ -585,23 +630,14 @@ mod tests {
                 }
             }
             let b: Vec<f64> = (0..n).map(|_| rnd()).collect();
-            let xb = band.factor().unwrap().solve(&b);
-            let xd = DenseLu::factor(dense, n).unwrap().solve(&b);
-            for i in 0..n {
-                assert!(
-                    (xb[i] - xd[i]).abs() < 1e-9,
-                    "(n={n},kl={kl},ku={ku}) x[{i}]: banded {} vs dense {}",
-                    xb[i],
-                    xd[i]
-                );
-            }
+            systems.push((band, dense, n, b));
         }
+        systems
     }
 
-    #[test]
-    fn banded_pivoting_stress() {
-        // Matrix engineered so the natural pivot order is bad: tiny diagonal
-        // with large off-diagonal neighbours.
+    /// A matrix engineered so the natural pivot order is bad: tiny diagonal
+    /// with large off-diagonal neighbours. Returns `(band, dense, n, rhs)`.
+    fn pivoting_stress_system() -> (BandedMatrix, Vec<f64>, usize, Vec<f64>) {
         let n = 20;
         let mut band = BandedMatrix::zeros(n, 2, 2);
         let mut dense = vec![0.0; n * n];
@@ -617,6 +653,35 @@ mod tests {
             }
         }
         let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        (band, dense, n, b)
+    }
+
+    fn transposed(dense: &[f64], n: usize) -> Vec<f64> {
+        (0..n * n).map(|k| dense[(k % n) * n + k / n]).collect()
+    }
+
+    #[test]
+    fn banded_matches_dense_on_random_bands() {
+        // Cross-validate the band factorization against the dense one on
+        // deterministic random banded matrices of several shapes.
+        for (band, dense, n, b) in random_band_systems() {
+            let (kl, ku) = (band.lower_bandwidth(), band.upper_bandwidth());
+            let xb = band.factor().unwrap().solve(&b);
+            let xd = DenseLu::factor(dense, n).unwrap().solve(&b);
+            for i in 0..n {
+                assert!(
+                    (xb[i] - xd[i]).abs() < 1e-9,
+                    "(n={n},kl={kl},ku={ku}) x[{i}]: banded {} vs dense {}",
+                    xb[i],
+                    xd[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn banded_pivoting_stress() {
+        let (band, dense, n, b) = pivoting_stress_system();
         let xb = band.factor().unwrap().solve(&b);
         let xd = DenseLu::factor(dense, n).unwrap().solve(&b);
         for i in 0..n {
@@ -627,6 +692,36 @@ mod tests {
                 xb[i],
                 xd[i]
             );
+        }
+    }
+
+    #[test]
+    fn transpose_solve_matches_dense_transpose() {
+        // The adjoint solve reuses the banded factors of A; it must agree
+        // with a dense factorization of Aᵀ on every random shape and on the
+        // pivot-heavy matrix.
+        let mut systems = random_band_systems();
+        systems.push(pivoting_stress_system());
+        for (band, dense, n, c) in systems {
+            let (kl, ku) = (band.lower_bandwidth(), band.upper_bandwidth());
+            let lu = band.factor().unwrap();
+            let mut yb = c.clone();
+            lu.solve_transpose_in_place(&mut yb);
+            let yd = DenseLu::factor(transposed(&dense, n), n).unwrap().solve(&c);
+            for i in 0..n {
+                let scale = yd[i].abs().max(1.0);
+                assert!(
+                    (yb[i] - yd[i]).abs() / scale < 1e-8,
+                    "(n={n},kl={kl},ku={ku}) y[{i}]: banded {} vs dense {}",
+                    yb[i],
+                    yd[i]
+                );
+            }
+            // And the residual of the transposed system is at round-off.
+            let residual = mat_vec_dense(&transposed(&dense, n), n, &yb);
+            for i in 0..n {
+                assert!((residual[i] - c[i]).abs() < 1e-9, "residual[{i}]");
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! The channel-stack model: geometry + loads → solved profiles.
 
 use crate::bvp::{self, BcEnd, BoundaryCondition, Coefficients};
-use crate::conductance::ElementConductances;
+use crate::conductance::{ConductanceWidthDerivatives, ElementConductances};
 use crate::solution::{ColumnProfiles, Solution};
 use crate::workspace::SolveWorkspace;
 use crate::{HeatProfile, ModelParams, Result, ThermalModelError, WidthProfile};
@@ -132,6 +132,18 @@ impl SolveOptions {
     }
 }
 
+/// Which §IV cost integral a design minimizes (the paper notes the two are
+/// equivalent through the conduction law `dT/dz = −q/ĝ_l`; both are
+/// provided for the ablation).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ObjectiveKind {
+    /// `∫ ‖dT/dz‖² dz` — the paper's Eq. (7).
+    #[default]
+    GradientSquared,
+    /// `∫ ‖q‖² dz` — the heat-flow form suggested in §IV-A.
+    HeatflowSquared,
+}
+
 /// The two §IV cost integrals of one solve, evaluated directly from the
 /// workspace states by [`Model::solve_costs_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,6 +152,16 @@ pub struct CostIntegrals {
     pub gradient_squared: f64,
     /// `∫ ‖q‖² dz` over every layer of every column (§IV-A variant).
     pub heatflow_squared: f64,
+}
+
+impl CostIntegrals {
+    /// The integral `kind` selects.
+    pub fn get(&self, kind: ObjectiveKind) -> f64 {
+        match kind {
+            ObjectiveKind::GradientSquared => self.gradient_squared,
+            ObjectiveKind::HeatflowSquared => self.heatflow_squared,
+        }
+    }
 }
 
 /// A liquid-cooled two-active-layer channel stack: the paper's Fig. 2
@@ -325,9 +347,154 @@ impl Model {
         ws: &mut SolveWorkspace,
     ) -> Result<CostIntegrals> {
         self.solve_raw(options, ws)?;
-        let n_nodes = ws.mesh.len();
-        let s = 5 * self.columns.len();
+        Ok(self.cost_integrals(&ws.mesh, &ws.bvp.rhs))
+    }
+
+    /// Solves the BVP and returns the `kind` cost integral together with its
+    /// exact gradient with respect to every width segment, by the discrete
+    /// adjoint of the collocation system (see `docs/ARCHITECTURE.md`).
+    ///
+    /// `gradient` is overwritten with `∂J/∂w` (cost units per metre of
+    /// width), column by column and inlet to outlet within a column: one
+    /// entry per segment of a piecewise-constant profile, one for a uniform
+    /// one. The cost is bitwise identical to the matching field of
+    /// [`Model::solve_costs_with`]. Beyond the forward solve, the gradient
+    /// costs one transposed back-substitution with the factors the forward
+    /// solve left in `ws`, and one pass over the mesh intervals.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalModelError::UnsupportedProfile`] when a column's width
+    /// profile is piecewise linear; otherwise the same as [`Model::solve`].
+    pub fn solve_cost_gradient_with(
+        &self,
+        options: &SolveOptions,
+        kind: ObjectiveKind,
+        ws: &mut SolveWorkspace,
+        gradient: &mut Vec<f64>,
+    ) -> Result<f64> {
+        self.check_differentiable()?;
+        self.solve_raw(options, ws)?;
+        let cost = self.cost_integrals(&ws.mesh, &ws.bvp.rhs).get(kind);
+
+        // ∂J/∂X of the trapezoid: node j enters intervals j−1 and j with
+        // weight h/2 each, so ∂J/∂q_j = (h_{j−1} + h_j)·q_j·scale²; the
+        // temperature entries are zero.
+        let mesh = &ws.mesh;
         let states = &ws.bvp.rhs;
+        let n_nodes = mesh.len();
+        let s = 5 * self.columns.len();
+        let lambda = &mut ws.adjoint;
+        lambda.clear();
+        lambda.resize(states.len(), 0.0);
+        for (i, col) in self.columns.iter().enumerate() {
+            let scale_sq = match kind {
+                ObjectiveKind::GradientSquared => {
+                    (1.0 / (self.params.g_longitudinal() * col.group_size as f64)).powi(2)
+                }
+                ObjectiveKind::HeatflowSquared => 1.0,
+            };
+            for j in 0..n_nodes {
+                let left = if j > 0 { mesh[j] - mesh[j - 1] } else { 0.0 };
+                let right = if j + 1 < n_nodes {
+                    mesh[j + 1] - mesh[j]
+                } else {
+                    0.0
+                };
+                for q in [5 * i + 2, 5 * i + 3] {
+                    lambda[j * s + q] = (left + right) * states[j * s + q] * scale_sq;
+                }
+            }
+        }
+        // Mᵀλ = ∂J/∂X with the forward solve's factors.
+        ws.bvp.solve_adjoint(lambda);
+
+        self.contract_width_sensitivities(&ws.mesh, &ws.bvp.rhs, &ws.adjoint, &ws.bcs, gradient)?;
+        Ok(cost)
+    }
+
+    /// `dJ/dw = −λᵀ(∂M/∂w)X`, accumulated per width segment. Only the
+    /// interval rows of `M` depend on the widths, through `A(z_{j+½})`:
+    /// row block `j` holds `−h_j/2·A` against both node blocks, so interval
+    /// `j` contributes `h_j/2·λ_jᵀ(∂A/∂w)(X_j + X_{j+1})`, and only the
+    /// `ĝ_w`/`ĝ_v` entries of `A` move with `w`.
+    fn contract_width_sensitivities(
+        &self,
+        mesh: &[f64],
+        states: &[f64],
+        lambda: &[f64],
+        bcs: &[BoundaryCondition],
+        gradient: &mut Vec<f64>,
+    ) -> Result<()> {
+        let s = 5 * self.columns.len();
+        let n_start = bcs.iter().filter(|bc| bc.end == BcEnd::Start).count();
+        let d = self.length;
+        let developing = self.params.developing_flow;
+        gradient.clear();
+        let mut offset = 0;
+        for (i, col) in self.columns.iter().enumerate() {
+            let n_segments = col.width.parameter_count();
+            gradient.resize(offset + n_segments, 0.0);
+            // Without the entry-length term the derivatives depend on the
+            // segment width alone: evaluate once per segment.
+            let per_segment: Vec<ConductanceWidthDerivatives> = if developing {
+                Vec::new()
+            } else {
+                (0..n_segments)
+                    .map(|k| {
+                        ElementConductances::width_derivatives(
+                            &self.params,
+                            col.width.segment_width(k),
+                            col.group_size,
+                            Length::ZERO,
+                        )
+                    })
+                    .collect::<std::result::Result<_, _>>()?
+            };
+            let (sign, capacity_rate) = (
+                match col.flow {
+                    FlowDirection::Forward => 1.0,
+                    FlowDirection::Reverse => -1.0,
+                },
+                self.params.capacity_rate() * col.group_size as f64,
+            );
+            let (t1, t2, q1, q2, tc) = (5 * i, 5 * i + 1, 5 * i + 2, 5 * i + 3, 5 * i + 4);
+            for j in 0..mesh.len() - 1 {
+                let h = mesh[j + 1] - mesh[j];
+                let zm = 0.5 * (mesh[j] + mesh[j + 1]);
+                let k = col.width.segment_at(Length::from_meters(zm), d);
+                let dc = if developing {
+                    let z_from_inlet = match col.flow {
+                        FlowDirection::Forward => zm,
+                        FlowDirection::Reverse => d.si() - zm,
+                    };
+                    ElementConductances::width_derivatives(
+                        &self.params,
+                        col.width.segment_width(k),
+                        col.group_size,
+                        Length::from_meters(z_from_inlet),
+                    )?
+                } else {
+                    per_segment[k]
+                };
+                let x = |u: usize| states[j * s + u] + states[(j + 1) * s + u];
+                let l = |t: usize| lambda[n_start + j * s + t];
+                let (x1, x2, xc) = (x(t1), x(t2), x(tc));
+                let vertical = l(q1) * (xc - x1)
+                    + l(q2) * (xc - x2)
+                    + l(tc) * sign / capacity_rate * (x1 + x2 - 2.0 * xc);
+                let wall = (l(q1) - l(q2)) * (x2 - x1);
+                gradient[offset + k] += 0.5 * h * (dc.g_vertical * vertical + dc.g_wall * wall);
+            }
+            offset += n_segments;
+        }
+        Ok(())
+    }
+
+    /// The §IV cost integrals of node-major `states` on `mesh`.
+    fn cost_integrals(&self, mesh: &[f64], states: &[f64]) -> CostIntegrals {
+        let n_nodes = mesh.len();
+        let s = 5 * self.columns.len();
         let mut gradient_squared = 0.0;
         let mut heatflow_squared = 0.0;
         for (i, col) in self.columns.iter().enumerate() {
@@ -337,7 +504,7 @@ impl Model {
             // `Solution::integrate_columns` (f evaluated afresh at j and
             // j+1), so the sums agree bit for bit.
             for j in 0..n_nodes - 1 {
-                let h = ws.mesh[j + 1] - ws.mesh[j];
+                let h = mesh[j + 1] - mesh[j];
                 let (t0, b0) = q(j);
                 let (t1, b1) = q(j + 1);
                 gradient_squared += 0.5
@@ -348,10 +515,22 @@ impl Model {
                 heatflow_squared += 0.5 * h * (t0.powi(2) + b0.powi(2) + (t1.powi(2) + b1.powi(2)));
             }
         }
-        Ok(CostIntegrals {
+        CostIntegrals {
             gradient_squared,
             heatflow_squared,
-        })
+        }
+    }
+
+    /// Width gradients need a finite set of width parameters per column.
+    fn check_differentiable(&self) -> Result<()> {
+        match self
+            .columns
+            .iter()
+            .position(|c| matches!(c.width, WidthProfile::PiecewiseLinear { .. }))
+        {
+            Some(column) => Err(ThermalModelError::UnsupportedProfile { column }),
+            None => Ok(()),
+        }
     }
 
     /// Shared internals of [`Model::solve_with`] / [`Model::solve_costs_with`]:
@@ -443,6 +622,39 @@ impl Model {
             )?,
         };
         Ok(dp)
+    }
+
+    /// `∂ΔP_c/∂w` of each column's pressure drop (paper Eq. 9) with respect
+    /// to its own width segments, in the layout of
+    /// [`Model::solve_cost_gradient_with`] (a column's drop does not depend
+    /// on the other columns' widths). Closed form through the friction
+    /// model's `f·Re` and `D_h`.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalModelError::UnsupportedProfile`] for a piecewise-linear
+    /// profile; [`ThermalModelError::Microfluidics`] for unphysical widths.
+    pub fn pressure_drop_gradient(&self, gradient: &mut Vec<f64>) -> Result<()> {
+        self.check_differentiable()?;
+        let p = &self.params;
+        gradient.clear();
+        for col in &self.columns {
+            let n_segments = col.width.parameter_count();
+            let segment_length = self.length.si() / n_segments as f64;
+            for k in 0..n_segments {
+                let duct =
+                    liquamod_microfluidics::RectDuct::new(col.width.segment_width(k), p.h_c)?;
+                gradient.push(
+                    pressure::pressure_gradient_width_derivative(
+                        p.friction,
+                        &duct,
+                        &p.coolant,
+                        p.flow_rate_per_channel,
+                    ) * segment_length,
+                );
+            }
+        }
+        Ok(())
     }
 
     /// Hydraulic pump power for the whole stack: `Σ ΔPᵢ·V̇·mᵢ`.

@@ -66,10 +66,7 @@ impl WidthProfile {
         let frac = (z.si() / d.si()).clamp(0.0, 1.0);
         match self {
             WidthProfile::Uniform(w) => *w,
-            WidthProfile::PiecewiseConstant { widths } => {
-                let k = ((frac * widths.len() as f64) as usize).min(widths.len() - 1);
-                widths[k]
-            }
+            WidthProfile::PiecewiseConstant { widths } => widths[self.segment_at(z, d)],
             WidthProfile::PiecewiseLinear { knots } => {
                 let n = knots.len();
                 let x = frac * (n - 1) as f64;
@@ -77,6 +74,38 @@ impl WidthProfile {
                 let t = x - k as f64;
                 Length::from_meters(knots[k].si() * (1.0 - t) + knots[k + 1].si() * t)
             }
+        }
+    }
+
+    /// Index of the width parameter in force at `z`: the segment of a
+    /// piecewise-constant profile ([`WidthProfile::width_at`] reads the same
+    /// index), 0 for a uniform one. Piecewise-linear profiles blend two
+    /// knots and have no single index; they report the left knot.
+    pub(crate) fn segment_at(&self, z: Length, d: Length) -> usize {
+        let frac = (z.si() / d.si()).clamp(0.0, 1.0);
+        match self {
+            WidthProfile::Uniform(_) => 0,
+            WidthProfile::PiecewiseConstant { widths } => {
+                ((frac * widths.len() as f64) as usize).min(widths.len() - 1)
+            }
+            WidthProfile::PiecewiseLinear { knots } => {
+                ((frac * (knots.len() - 1) as f64) as usize).min(knots.len() - 2)
+            }
+        }
+    }
+
+    /// The `k`-th width parameter (the segment width of a piecewise-constant
+    /// profile, the knot of a piecewise-linear one, the width of a uniform
+    /// one for any `k`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range for a piecewise profile.
+    pub(crate) fn segment_width(&self, k: usize) -> Length {
+        match self {
+            WidthProfile::Uniform(w) => *w,
+            WidthProfile::PiecewiseConstant { widths } => widths[k],
+            WidthProfile::PiecewiseLinear { knots } => knots[k],
         }
     }
 

@@ -2,18 +2,21 @@
 //! calls.
 //!
 //! The channel-modulation optimizer evaluates the same model shape hundreds
-//! of times per design run (finite-difference gradients alone cost `n + 1`
-//! boundary-value solves per iteration) while only the width profiles vary.
-//! The mesh, the collocation matrix's sparsity structure and every buffer
-//! size are invariant across those evaluations, so a [`SolveWorkspace`]
-//! keeps them alive between solves:
+//! of times per design run (every line-search trial and every adjoint
+//! gradient is one boundary-value solve) while only the width profiles
+//! vary. The mesh, the collocation matrix's sparsity structure and every
+//! buffer size are invariant across those evaluations, so a
+//! [`SolveWorkspace`] keeps them alive between solves:
 //!
 //! * the **mesh** is cached and rebuilt only when the channel length, base
 //!   resolution or profile breakpoints actually change;
 //! * the **banded matrix**, **factorization** and **right-hand side** are
 //!   factored in place ([`crate::linalg::BandedMatrix::factor_into`]) and
-//!   recycled, swapping storage back and forth instead of reallocating;
-//! * coefficient and boundary-condition scratch buffers are reused.
+//!   recycled, swapping storage back and forth instead of reallocating; the
+//!   factors stay in the workspace after a solve, so the adjoint gradient
+//!   ([`Model::solve_cost_gradient_with`](crate::Model::solve_cost_gradient_with))
+//!   reuses them for its transposed solve;
+//! * coefficient, boundary-condition and adjoint scratch buffers are reused.
 //!
 //! # Lifecycle
 //!
@@ -23,26 +26,28 @@
 //! workspace can serve many different models — reuse is a pure optimization,
 //! never a correctness concern: a workspace-reused solve is **bitwise
 //! identical** to a fresh [`Model::solve`](crate::Model::solve) (which itself routes through a
-//! one-shot workspace).
-//!
-//! For thread fan-outs whose worker threads are short-lived (e.g. scoped
-//! finite-difference workers respawned per gradient), a [`WorkspacePool`]
-//! hands out workspaces so the buffers survive across fan-out rounds:
+//! one-shot workspace):
 //!
 //! ```
-//! use liquamod_thermal_model::WorkspacePool;
+//! use liquamod_thermal_model::{
+//!     ChannelColumn, HeatProfile, Model, ModelParams, SolveOptions, SolveWorkspace, WidthProfile,
+//! };
+//! use liquamod_units::{Length, LinearHeatFlux};
 //!
-//! let pool = WorkspacePool::new();
-//! let answer = pool.with(|_ws| {
-//!     // ... model.solve_with(&options, _ws) ...
-//!     42
-//! });
-//! assert_eq!(answer, 42);
-//! assert_eq!(pool.len(), 1); // the workspace went back into the pool
+//! let params = ModelParams::date2012();
+//! let column = ChannelColumn::new(WidthProfile::uniform(params.w_max))
+//!     .with_heat_top(HeatProfile::uniform(LinearHeatFlux::from_w_per_m(50.0)));
+//! let model = Model::new(params, Length::from_centimeters(1.0), vec![column])?;
+//! let options = SolveOptions::with_mesh_intervals(64);
+//! let mut ws = SolveWorkspace::new();
+//! let first = model.solve_with(&options, &mut ws)?;
+//! let again = model.solve_with(&options, &mut ws)?;
+//! assert_eq!(first.thermal_gradient(), again.thermal_gradient());
+//! assert_eq!((ws.solves(), ws.mesh_builds()), (2, 1)); // mesh cached
+//! # Ok::<(), liquamod_thermal_model::ThermalModelError>(())
 //! ```
 
 use crate::bvp::{BoundaryCondition, BvpWorkspace};
-use std::sync::Mutex;
 
 /// Reusable storage for repeated [`Model::solve_with`] calls.
 ///
@@ -62,6 +67,8 @@ pub struct SolveWorkspace {
     pub(crate) bp_scratch: Vec<f64>,
     /// Boundary-condition scratch.
     pub(crate) bcs: Vec<BoundaryCondition>,
+    /// Adjoint vector `λ` of the last gradient solve.
+    pub(crate) adjoint: Vec<f64>,
     /// `(length, base intervals)` of the cached mesh, `None` when cold.
     pub(crate) mesh_key: Option<(f64, usize)>,
     /// Solves served since construction (cache diagnostics for benches).
@@ -79,6 +86,7 @@ impl SolveWorkspace {
             breakpoints: Vec::new(),
             bp_scratch: Vec::new(),
             bcs: Vec::new(),
+            adjoint: Vec::new(),
             mesh_key: None,
             solves: 0,
             mesh_builds: 0,
@@ -106,69 +114,9 @@ impl Default for SolveWorkspace {
     }
 }
 
-/// A shared pool of [`SolveWorkspace`]s for thread fan-outs.
-///
-/// Worker threads (finite-difference gradient workers, sweep workers) call
-/// [`WorkspacePool::with`]; the pool pops an idle workspace (or creates one
-/// when all are in use) and returns it afterwards, so warmed-up buffers
-/// survive even when the OS threads themselves are short-lived. The lock is
-/// held only while popping/pushing, never during a solve.
-#[derive(Debug, Default)]
-pub struct WorkspacePool {
-    idle: Mutex<Vec<SolveWorkspace>>,
-}
-
-impl WorkspacePool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs `f` with a pooled workspace, returning the workspace to the pool
-    /// afterwards. Concurrent callers each get their own workspace.
-    pub fn with<R>(&self, f: impl FnOnce(&mut SolveWorkspace) -> R) -> R {
-        let mut ws = self
-            .idle
-            .lock()
-            .expect("workspace pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let result = f(&mut ws);
-        self.idle.lock().expect("workspace pool poisoned").push(ws);
-        result
-    }
-
-    /// Number of idle workspaces currently pooled.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.idle.lock().expect("workspace pool poisoned").len()
-    }
-
-    /// `true` when no workspace is pooled (none created yet, or all in use).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_reuses_and_grows() {
-        let pool = WorkspacePool::new();
-        assert!(pool.is_empty());
-        pool.with(|ws| ws.solves = 7);
-        assert_eq!(pool.len(), 1);
-        // The same workspace comes back out.
-        pool.with(|ws| assert_eq!(ws.solves, 7));
-        // Nested use (as concurrent workers would) creates a second one.
-        pool.with(|_outer| {
-            pool.with(|inner| assert_eq!(inner.solves, 0));
-        });
-        assert_eq!(pool.len(), 2);
-    }
 
     #[test]
     fn workspace_counters_start_cold() {

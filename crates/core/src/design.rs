@@ -7,7 +7,9 @@
 //! applies the candidate widths, solves the §III boundary-value problem and
 //! integrates the paper's Eq. (7) cost; each gradient adds one transposed
 //! solve of the same collocation system (the discrete adjoint,
-//! [`Model::solve_cost_gradient_with`]). Pressure bounds (Eq. 9) and the
+//! [`Model::cost_gradient_from`]), and a gradient at a point just solved
+//! (the line search's accepted trial) reuses that solve's factors instead of
+//! solving again. Pressure bounds (Eq. 9) and the
 //! equal-pressure coupling (Eq. 10) enter as augmented-Lagrangian
 //! constraints; pressure drops and their width derivatives are closed-form
 //! integrals, so the constraint side costs nothing compared to the thermal
@@ -20,9 +22,11 @@ use liquamod_optimal_control::{
     ConstrainedObjective, LbfgsOptions, NelderMeadOptions, ProjGradOptions,
 };
 pub use liquamod_thermal_model::ObjectiveKind;
-use liquamod_thermal_model::{Model, Solution, SolveOptions, SolveWorkspace, WidthProfile};
+use liquamod_thermal_model::{
+    Model, Solution, SolveOptions, SolveWorkspace, ThermalModelError, WidthProfile,
+};
 use liquamod_units::{Length, Pressure};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 
 /// Which NLP solver drives the (inner) minimization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -155,10 +159,15 @@ pub struct DesignOutcome {
     pub pressure_drops: Vec<Pressure>,
     /// Final objective value.
     pub objective: f64,
-    /// Total objective evaluations spent (forward BVP solves).
+    /// Objective evaluations the optimizer made (values and gradients,
+    /// line-search trials included).
     pub evaluations: usize,
     /// How many of those evaluations also solved the adjoint for a gradient.
     pub adjoint_solves: usize,
+    /// Forward BVP solves the run made, the cost normalization and the
+    /// closing solution included. Fewer than `evaluations`: a point already
+    /// solved as one of the last two is not solved again.
+    pub forward_solves: usize,
     /// Whether pressure constraints were met (within the solver tolerance).
     pub feasible: bool,
 }
@@ -196,13 +205,32 @@ fn drops_of(model: &Model) -> Vec<f64> {
         .collect()
 }
 
-/// The model every evaluation applies its candidate widths to (instead of
-/// cloning the base model per evaluation), and the workspace its BVP solves
-/// reuse: mesh, banded factors and adjoint buffers survive across the whole
-/// run.
-struct Scratch {
+/// One solved point of the width problem: the scratch model with that
+/// point's widths applied, the workspace holding its BVP solve (mesh, banded
+/// factors, states) and the cost. The adjoint gradient and the solution at
+/// the point are read back from the workspace without solving again.
+struct Slot {
+    /// The point's coordinates, bit for bit (empty until the first solve).
+    key: Vec<u64>,
     model: Model,
     ws: SolveWorkspace,
+    /// The `config.objective` cost integral, or the solve's error.
+    cost: liquamod_thermal_model::Result<f64>,
+}
+
+impl Slot {
+    fn new(model: &Model) -> Self {
+        Self {
+            key: Vec::new(),
+            model: model.clone(),
+            ws: SolveWorkspace::new(),
+            cost: Err(ThermalModelError::StaleWorkspace),
+        }
+    }
+
+    fn holds(&self, x: &[f64]) -> bool {
+        self.key.len() == x.len() && self.key.iter().zip(x).all(|(k, v)| *k == v.to_bits())
+    }
 }
 
 struct WidthProblem<'a> {
@@ -217,7 +245,17 @@ struct WidthProblem<'a> {
     /// constraints are O(1); without this scaling the augmented-Lagrangian
     /// penalties would be invisible next to the objective.
     j_scale: f64,
-    scratch: RefCell<Scratch>,
+    /// The last two solved points, newest first. The line search's accepted
+    /// point is one of its last two trials (forward-tracking ends on a
+    /// rejected grow trial), so the gradient there, the outer loop's restart
+    /// and the closing solution are all read from a slot instead of solving
+    /// again.
+    slots: RefCell<[Slot; 2]>,
+    /// The model the closed-form pressure drops are computed on. It is
+    /// never a slot's model, whose widths must stay those of its factors.
+    pressure_model: RefCell<Model>,
+    /// BVP solves made so far.
+    forward_solves: Cell<usize>,
 }
 
 impl<'a> WidthProblem<'a> {
@@ -231,10 +269,9 @@ impl<'a> WidthProblem<'a> {
             dp_max: params.dp_max.si(),
             solve: SolveOptions::with_mesh_intervals(config.mesh_intervals),
             j_scale: 1.0,
-            scratch: RefCell::new(Scratch {
-                model: model.clone(),
-                ws: SolveWorkspace::new(),
-            }),
+            slots: RefCell::new([Slot::new(model), Slot::new(model)]),
+            pressure_model: RefCell::new(model.clone()),
+            forward_solves: Cell::new(0),
         }
     }
 
@@ -277,35 +314,53 @@ impl<'a> WidthProblem<'a> {
         }
     }
 
-    /// An owned copy of the model at `x` (for the outcome).
-    fn model_with(&self, x: &[f64]) -> Model {
-        let mut model = self.scratch.borrow().model.clone();
-        self.apply(&mut model, x);
-        model
+    /// Runs `f` on the slot holding `x`, first solving `x` into the older
+    /// slot when neither holds it.
+    fn with_solved<R>(&self, x: &[f64], f: impl FnOnce(&mut Slot) -> R) -> R {
+        let mut slots = self.slots.borrow_mut();
+        if let Some(slot) = slots.iter_mut().find(|slot| slot.holds(x)) {
+            return f(slot);
+        }
+        slots.swap(0, 1);
+        let slot = &mut slots[0];
+        self.apply(&mut slot.model, x);
+        slot.key.clear();
+        slot.key.extend(x.iter().map(|v| v.to_bits()));
+        // Cost-only solve: skips the Solution profile materialization while
+        // producing bit-identical integrals (see `Model::solve_costs_with`).
+        slot.cost = slot
+            .model
+            .solve_costs_with(&self.solve, &mut slot.ws)
+            .map(|costs| costs.get(self.config.objective));
+        self.forward_solves.set(self.forward_solves.get() + 1);
+        f(slot)
     }
 
-    /// Runs `f` on the scratch model with the widths of `x` applied.
-    fn with_model<R>(&self, x: &[f64], f: impl FnOnce(&Model, &mut SolveWorkspace) -> R) -> R {
-        let mut scratch = self.scratch.borrow_mut();
-        let Scratch { model, ws } = &mut *scratch;
-        self.apply(model, x);
-        f(model, ws)
+    /// The model at `x` and its solution, unpacked from the slot's solve.
+    fn solved_design(&self, x: &[f64]) -> Result<(Model, Solution)> {
+        self.with_solved(x, |slot| {
+            slot.cost.clone()?;
+            let solution = slot.model.solution_from(&slot.ws)?;
+            Ok((slot.model.clone(), solution))
+        })
     }
 
     fn pressure_drops(&self, x: &[f64]) -> Vec<f64> {
-        self.with_model(x, |model, _| drops_of(model))
+        let mut model = self.pressure_model.borrow_mut();
+        self.apply(&mut model, x);
+        drops_of(&model)
     }
 
     /// The drops at `x` and `∂ΔP_c/∂x` for each column's own coordinates
     /// (flat, in the layout of `x`).
     fn pressure_drops_with_gradient(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let (drops, mut gradient) = self.with_model(x, |model, _| {
-            let mut gradient = Vec::new();
-            model
-                .pressure_drop_gradient(&mut gradient)
-                .expect("normalized widths are valid ducts");
-            (drops_of(model), gradient)
-        });
+        let mut model = self.pressure_model.borrow_mut();
+        self.apply(&mut model, x);
+        let mut gradient = Vec::new();
+        model
+            .pressure_drop_gradient(&mut gradient)
+            .expect("normalized widths are valid ducts");
+        let drops = drops_of(&model);
         for (g, t) in gradient.iter_mut().zip(x) {
             *g *= self.width_scale(*t);
         }
@@ -358,30 +413,26 @@ impl<'a> WidthProblem<'a> {
     }
 
     fn raw_objective(&self, x: &[f64]) -> f64 {
-        // Cost-only solve: skips the Solution profile materialization while
-        // producing bit-identical integrals (see `Model::solve_costs_with`).
-        let solved = self.with_model(x, |model, ws| model.solve_costs_with(&self.solve, ws));
-        match solved {
-            Ok(costs) => costs.get(self.config.objective),
-            // Infinite cost steers the line search away from pathological
-            // candidates instead of aborting the whole run.
-            Err(_) => f64::INFINITY,
-        }
+        // Infinite cost steers the line search away from pathological
+        // candidates instead of aborting the whole run.
+        self.with_solved(x, |slot| *slot.cost.as_ref().unwrap_or(&f64::INFINITY))
     }
 
     /// [`WidthProblem::raw_objective`] and its gradient in `x` coordinates,
-    /// by the discrete adjoint (one forward and one transposed solve).
+    /// by the discrete adjoint of the solve the slot holding `x` keeps (one
+    /// transposed back-substitution; a forward solve only when `x` is new).
     fn raw_objective_and_gradient(&self, x: &[f64], grad: &mut [f64]) -> f64 {
         let mut width_gradient = Vec::with_capacity(x.len());
-        let solved = self.with_model(x, |model, ws| {
-            model.solve_cost_gradient_with(
-                &self.solve,
+        let cost = self.with_solved(x, |slot| {
+            let cost = slot.cost.clone()?;
+            slot.model.cost_gradient_from(
                 self.config.objective,
-                ws,
+                &mut slot.ws,
                 &mut width_gradient,
-            )
+            )?;
+            Ok::<_, ThermalModelError>(cost)
         });
-        match solved {
+        match cost {
             Ok(cost) => {
                 for ((g, dw), t) in grad.iter_mut().zip(&width_gradient).zip(x) {
                     *g = dw * self.width_scale(*t);
@@ -620,8 +671,7 @@ fn optimize_inner(
     };
 
     let widths = problem.widths_from_x(&x_opt);
-    let optimized = problem.model_with(&x_opt);
-    let solution = optimized.solve_with(&problem.solve, &mut problem.scratch.get_mut().ws)?;
+    let (optimized, solution) = problem.solved_design(&x_opt)?;
     let pressure_drops = optimized.pressure_drops()?;
     // Report the raw Eq. (7) cost, not the normalized solver value.
     let objective = objective * problem.j_scale;
@@ -640,6 +690,7 @@ fn optimize_inner(
         objective,
         evaluations,
         adjoint_solves,
+        forward_solves: problem.forward_solves.get(),
         feasible,
     };
     Ok((outcome, next_warm))
@@ -798,8 +849,7 @@ pub fn optimize_min_pumping(
     } = augmented_lagrangian(&dual, &bounds, &x0, &config.auglag);
 
     let widths = thermal.widths_from_x(&x);
-    let optimized = thermal.model_with(&x);
-    let solution = optimized.solve_with(&thermal.solve, &mut thermal.scratch.get_mut().ws)?;
+    let (optimized, solution) = thermal.solved_design(&x)?;
     let pressure_drops = optimized.pressure_drops()?;
     let objective = match config.objective {
         ObjectiveKind::GradientSquared => solution.cost_gradient_squared(),
@@ -814,6 +864,7 @@ pub fn optimize_min_pumping(
         objective,
         evaluations,
         adjoint_solves: gradient_evaluations,
+        forward_solves: thermal.forward_solves.get(),
         feasible,
     })
 }
@@ -985,8 +1036,8 @@ mod tests {
             problem.constraints(&x)
         );
         assert_eq!(e.equality.len(), 3);
-        // The reused scratch model evaluates exactly what a fresh clone of
-        // the base model with the same widths does.
+        // A slot's reused model evaluates exactly what a fresh clone of the
+        // base model with the same widths does.
         let mut fresh = model.clone();
         for (c, w) in problem.widths_from_x(&x).into_iter().enumerate() {
             fresh.set_width_profile(c, w).unwrap();
@@ -1044,6 +1095,119 @@ mod tests {
             &central(&x, |x| dual.inequality(x)),
             "thermal bound and caps",
         );
+    }
+
+    #[test]
+    fn solved_points_serve_values_gradients_and_solutions_bitwise() {
+        // A scripted call sequence through the two slots: every cost and
+        // gradient must be bit for bit what a fresh solve on a new workspace
+        // gives, and only points that neither slot holds are solved.
+        let params = ModelParams::date2012();
+        let d = Length::from_centimeters(1.0);
+        let columns = [50.0, 90.0]
+            .iter()
+            .map(|&q| {
+                ChannelColumn::new(WidthProfile::uniform(params.w_max))
+                    .with_heat_top(HeatProfile::equal_segments(
+                        &[
+                            LinearHeatFlux::from_w_per_m(q),
+                            LinearHeatFlux::from_w_per_m(140.0 - q),
+                        ],
+                        d,
+                    ))
+                    .with_heat_bottom(HeatProfile::uniform(LinearHeatFlux::from_w_per_m(30.0)))
+            })
+            .collect();
+        let model = Model::new(params, d, columns).unwrap();
+        let config = OptimizationConfig {
+            segments: 3,
+            mesh_intervals: 64,
+            ..OptimizationConfig::fast()
+        };
+        let problem = WidthProblem::new(&model, &config);
+        let x1 = [0.2, 0.5, 0.9, 1.0, 0.3, 0.0];
+        let x2 = [0.2, 0.5, 0.9, 1.0, 0.3, 1e-9];
+        let x3 = [1.0, 0.7, 0.1, 0.4, 0.6, 0.8];
+        let failing = [f64::NAN; 6];
+
+        let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let fresh = |x: &[f64]| {
+            let mut m = model.clone();
+            for (c, w) in problem.widths_from_x(x).into_iter().enumerate() {
+                m.set_width_profile(c, w).unwrap();
+            }
+            let kind = config.objective;
+            let cost = m
+                .solve_costs_with(&problem.solve, &mut SolveWorkspace::new())
+                .unwrap()
+                .get(kind);
+            let mut dw = Vec::new();
+            let with_gradient = m
+                .solve_cost_gradient_with(&problem.solve, kind, &mut SolveWorkspace::new(), &mut dw)
+                .unwrap();
+            assert_eq!(cost.to_bits(), with_gradient.to_bits());
+            let grad: Vec<f64> = dw
+                .iter()
+                .zip(x)
+                .map(|(g, t)| g * problem.width_scale(*t))
+                .collect();
+            (cost.to_bits(), bits(&grad))
+        };
+        let value = |x: &[f64]| problem.raw_objective(x).to_bits();
+        let gradient = |x: &[f64]| {
+            let mut g = vec![0.0; x.len()];
+            let cost = problem.raw_objective_and_gradient(x, &mut g);
+            (cost.to_bits(), bits(&g))
+        };
+        let solves = || problem.forward_solves.get();
+
+        assert_eq!(value(&x1), fresh(&x1).0);
+        assert_eq!(value(&x2), fresh(&x2).0);
+        assert_eq!(solves(), 2);
+        // The older slot serves the gradient at x1: adjoint only.
+        assert_eq!(gradient(&x1), fresh(&x1));
+        assert_eq!(solves(), 2);
+        // x3 replaces the older slot, x1.
+        assert_eq!(value(&x3), fresh(&x3).0);
+        assert_eq!(solves(), 3);
+        assert_eq!(gradient(&x1), fresh(&x1));
+        assert_eq!(solves(), 4);
+        // Re-solving x1 replaced x2.
+        assert_eq!(gradient(&x2), fresh(&x2));
+        assert_eq!(solves(), 5);
+        // x1 is now the older slot; reads there repeat bitwise.
+        assert_eq!(gradient(&x1), fresh(&x1));
+        assert_eq!(value(&x1), fresh(&x1).0);
+        assert_eq!(solves(), 5);
+
+        // A width the model cannot solve costs +∞ with a zero gradient, and
+        // the failure is remembered like any other solve (replacing x1).
+        let mut g = vec![1.0; 6];
+        assert_eq!(
+            problem.raw_objective_and_gradient(&failing, &mut g),
+            f64::INFINITY
+        );
+        assert_eq!(g, vec![0.0; 6]);
+        assert_eq!(problem.raw_objective(&failing), f64::INFINITY);
+        assert!(problem.solved_design(&failing).is_err());
+        assert_eq!(solves(), 6);
+
+        // The surviving slot still holds x2, and its solution is what a
+        // fresh solve of the same model returns.
+        assert_eq!(gradient(&x2), fresh(&x2));
+        let (optimized, solution) = problem.solved_design(&x2).unwrap();
+        assert_eq!(solves(), 6);
+        let reference = optimized
+            .solve_with(&problem.solve, &mut SolveWorkspace::new())
+            .unwrap();
+        assert_eq!(
+            solution.cost_gradient_squared().to_bits(),
+            reference.cost_gradient_squared().to_bits()
+        );
+        for (a, b) in solution.columns().iter().zip(reference.columns()) {
+            assert_eq!(bits(a.t_top_kelvin()), bits(b.t_top_kelvin()));
+            assert_eq!(bits(a.t_coolant_kelvin()), bits(b.t_coolant_kelvin()));
+        }
     }
 
     #[test]

@@ -346,6 +346,7 @@ impl ModulatedStack for MpsocModulated {
             incumbent_gradient_k,
             evaluations: outcome.evaluations,
             adjoint_solves: outcome.adjoint_solves,
+            forward_solves: outcome.forward_solves,
         })
     }
 

@@ -11,8 +11,9 @@
 //! | `assembly.full_rebuilds` | symbolic CSR assembly builds (`AssemblyCache`) |
 //! | `assembly.values_only_refreshes` | values-in-place refreshes (`AssemblyCache`) |
 //! | `expstep.matrix_rebuilds` | condensed exponential-integrator matrix builds |
-//! | `optimizer.evaluations` | optimizer objective evaluations (forward BVP solves) |
+//! | `optimizer.evaluations` | optimizer objective evaluations (values and gradients) |
 //! | `optimizer.adjoint_solves` | evaluations that also solved the adjoint for a gradient |
+//! | `optimizer.forward_solves` | forward BVP solves of the optimizer (repeated points are served from the last two solves) |
 //! | `optimizer.warm_start_hits` | optimizer solves that started from a warm point |
 //! | `epoch.adopted` | modulation epochs whose candidate widths were adopted |
 //! | `epoch.rejected` | modulation epochs that kept the incumbent widths |

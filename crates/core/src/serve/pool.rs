@@ -351,8 +351,14 @@ impl ServePool {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] when the snapshot's id is already live.
+    /// [`CoreError::GridSim`] with
+    /// [`InvalidSnapshot`](liquamod_grid_sim::GridSimError::InvalidSnapshot)
+    /// for a snapshot holding a non-finite gradient, predictor field, power
+    /// or thermal state entry, or a negative or non-finite clock (the pool is
+    /// left unchanged); [`CoreError::InvalidConfig`] when the snapshot's id
+    /// is already live.
     pub fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<u64> {
+        snapshot.validate()?;
         let id = snapshot.session_id;
         if self.sessions.contains_key(&id) {
             return Err(CoreError::InvalidConfig {
@@ -773,6 +779,61 @@ mod tests {
         pool.submit_level(id, PowerLevel::Average, 0.032).unwrap();
         assert_eq!(pool.queue_depth(id).unwrap(), 1);
         assert_eq!(pool.pending_total(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_snapshots_and_keeps_the_pool() {
+        let mut pool = ServePool::new(tiny_options()).unwrap();
+        let id = pool.open(ArchSpec::Arch1).unwrap();
+        let other = pool.open(ArchSpec::Arch2).unwrap();
+        let good = pool.close(other).unwrap();
+        let resume = ResumeState {
+            state: vec![300.0; 4],
+            widths: Vec::new(),
+            warm: None,
+            last_gradient_k: f64::NAN,
+        };
+        let poisoned = [
+            SessionSnapshot {
+                resume: Some(resume.clone()),
+                ..good.clone()
+            },
+            SessionSnapshot {
+                resume: Some(ResumeState {
+                    state: vec![300.0, f64::NAN],
+                    last_gradient_k: 1.0,
+                    ..resume
+                }),
+                ..good.clone()
+            },
+            SessionSnapshot {
+                clock_seconds: f64::NAN,
+                ..good.clone()
+            },
+            SessionSnapshot {
+                clock_seconds: -0.5,
+                ..good.clone()
+            },
+            SessionSnapshot {
+                last_power_w: Some(f64::INFINITY),
+                ..good.clone()
+            },
+        ];
+        for snapshot in &poisoned {
+            assert!(matches!(
+                pool.restore(snapshot),
+                Err(CoreError::GridSim(
+                    liquamod_grid_sim::GridSimError::InvalidSnapshot { .. }
+                ))
+            ));
+            assert_eq!(
+                pool.len(),
+                1,
+                "a rejected restore leaves the pool as it was"
+            );
+        }
+        assert!(pool.snapshot(id).is_ok());
+        assert_eq!(pool.restore(&good).unwrap(), good.session_id);
     }
 
     #[test]

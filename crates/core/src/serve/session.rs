@@ -304,14 +304,56 @@ impl SessionSnapshot {
         out
     }
 
+    /// Checks the values no live session can hold: a non-finite gradient,
+    /// predictor field or power, a negative or non-finite clock, or a
+    /// non-finite thermal state entry. One such value would reach the
+    /// pool's budget allocation and fail every later batch.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::GridSim`] with [`GridSimError::InvalidSnapshot`] naming
+    /// an offending field.
+    pub(crate) fn validate(&self) -> Result<()> {
+        let invalid = |what: String| CoreError::GridSim(GridSimError::InvalidSnapshot { what });
+        if !(self.clock_seconds.is_finite() && self.clock_seconds >= 0.0) {
+            return Err(invalid(format!(
+                "clock_seconds {} is not a finite non-negative time",
+                self.clock_seconds
+            )));
+        }
+        let mut scalars = vec![
+            (
+                "predictor_slope_k_per_scale",
+                self.predictor.slope_k_per_scale,
+            ),
+            ("predictor_share", self.predictor.last_share),
+            ("predictor_gradient_k", self.predictor.last_gradient_k),
+        ];
+        scalars.extend(self.last_power_w.map(|w| ("last_power_w", w)));
+        if let Some(resume) = &self.resume {
+            scalars.push(("last_gradient_k", resume.last_gradient_k));
+            if let Some(at) = resume.state.iter().position(|t| !t.is_finite()) {
+                return Err(invalid(format!(
+                    "state[{at}] = {} is not finite",
+                    resume.state[at]
+                )));
+            }
+        }
+        match scalars.iter().find(|(_, v)| !v.is_finite()) {
+            Some((key, v)) => Err(invalid(format!("{key} = {v} is not finite"))),
+            None => Ok(()),
+        }
+    }
+
     /// Parses a document written by [`SessionSnapshot::to_golden_json`],
     /// bitwise.
     ///
     /// # Errors
     ///
     /// [`CoreError::GridSim`] with [`GridSimError::InvalidSnapshot`] on a
-    /// missing key, an unknown schema version or architecture code, or a
-    /// malformed number.
+    /// missing key, an unknown schema version or architecture code, a
+    /// malformed number, a non-finite gradient, predictor field, power or
+    /// thermal state entry, or a negative or non-finite clock.
     pub fn from_golden_json(json: &str) -> Result<Self> {
         let invalid = |what: String| CoreError::GridSim(GridSimError::InvalidSnapshot { what });
         let version = snap::parse_scalar(json, "serve_schema_version")?;
@@ -371,7 +413,7 @@ impl SessionSnapshot {
                 "resume_present must be 0 or 1, got {present}"
             )));
         };
-        Ok(Self {
+        let snapshot = Self {
             session_id: id as u64,
             arch: arch_from_code(snap::parse_scalar(json, "arch_code")?)?,
             segments_done: segments as usize,
@@ -379,7 +421,9 @@ impl SessionSnapshot {
             predictor,
             last_power_w,
             resume,
-        })
+        };
+        snapshot.validate()?;
+        Ok(snapshot)
     }
 }
 
@@ -497,6 +541,58 @@ mod tests {
             assert!(
                 matches!(
                     SessionSnapshot::from_golden_json(doc),
+                    Err(CoreError::GridSim(GridSimError::InvalidSnapshot { .. }))
+                ),
+                "doc should be rejected: {doc}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_at_parse() {
+        let good = SessionSnapshot {
+            session_id: 3,
+            arch: ArchSpec::Arch1,
+            segments_done: 5,
+            clock_seconds: 0.16,
+            predictor: sample_predictor(),
+            last_power_w: Some(120.0),
+            resume: Some(sample_resume()),
+        };
+        good.validate().unwrap();
+        let mut bad = Vec::new();
+        for v in [f64::NAN, f64::INFINITY, -1.0] {
+            bad.push(SessionSnapshot {
+                clock_seconds: v,
+                ..good.clone()
+            });
+        }
+        for v in [f64::NAN, f64::NEG_INFINITY] {
+            let mut s = good.clone();
+            s.resume.as_mut().unwrap().last_gradient_k = v;
+            bad.push(s);
+            let mut s = good.clone();
+            s.resume.as_mut().unwrap().state[2] = v;
+            bad.push(s);
+            for field in 0..3 {
+                let mut s = good.clone();
+                *[
+                    &mut s.predictor.slope_k_per_scale,
+                    &mut s.predictor.last_share,
+                    &mut s.predictor.last_gradient_k,
+                ][field] = v;
+                bad.push(s);
+            }
+            bad.push(SessionSnapshot {
+                last_power_w: Some(v),
+                ..good.clone()
+            });
+        }
+        for snapshot in bad {
+            let doc = snapshot.to_golden_json();
+            assert!(
+                matches!(
+                    SessionSnapshot::from_golden_json(&doc),
                     Err(CoreError::GridSim(GridSimError::InvalidSnapshot { .. }))
                 ),
                 "doc should be rejected: {doc}"

@@ -415,6 +415,10 @@ fn evaluate_variant_warm(
         "optimizer.adjoint_solves",
         cmp.outcome.adjoint_solves as u64,
     );
+    obs::add(
+        "optimizer.forward_solves",
+        cmp.outcome.forward_solves as u64,
+    );
     let row = SweepRow {
         variant: variant.clone(),
         gradient_min_k: cmp.minimum.gradient_k,

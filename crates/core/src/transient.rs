@@ -288,11 +288,13 @@ pub struct EpochCandidate {
     /// Steady-state gradient of the incumbent profiles on the same model,
     /// kelvin.
     pub incumbent_gradient_k: f64,
-    /// Objective evaluations the epoch's optimizer spent (forward BVP
-    /// solves).
+    /// Objective evaluations the epoch's optimizer spent.
     pub evaluations: usize,
     /// How many of those evaluations also solved the adjoint for a gradient.
     pub adjoint_solves: usize,
+    /// Forward BVP solves the epoch's optimizer made (see
+    /// [`DesignOutcome::forward_solves`](crate::design::DesignOutcome::forward_solves)).
+    pub forward_solves: usize,
 }
 
 /// A stack family the [`ModulationController`] can drive: the bridge
@@ -748,6 +750,7 @@ impl ModulatedStack for StripModulated {
             incumbent_gradient_k,
             evaluations: outcome.evaluations,
             adjoint_solves: outcome.adjoint_solves,
+            forward_solves: outcome.forward_solves,
         })
     }
 
@@ -1193,11 +1196,13 @@ impl<S: ModulatedStack> EpochContext<'_, S> {
             incumbent_gradient_k,
             evaluations,
             adjoint_solves,
+            forward_solves,
         } = self
             .family
             .optimize_epoch(load, &self.widths, self.warm.as_ref(), &mut self.ws)?;
         obs::add("optimizer.evaluations", evaluations as u64);
         obs::add("optimizer.adjoint_solves", adjoint_solves as u64);
+        obs::add("optimizer.forward_solves", forward_solves as u64);
         // Never trade into a worse steady design: the incumbent profile is
         // always a feasible fallback.
         let adopted = gradient_k <= incumbent_gradient_k;

@@ -36,6 +36,10 @@ pub enum ThermalModelError {
         /// Column index with the piecewise-linear profile.
         column: usize,
     },
+    /// A gradient or solution was read from a workspace that does not hold
+    /// this model's last successful solve (a different model, a later solve,
+    /// or a failed one).
+    StaleWorkspace,
 }
 
 impl fmt::Display for ThermalModelError {
@@ -57,6 +61,10 @@ impl fmt::Display for ThermalModelError {
                 f,
                 "column {column} has a piecewise-linear width profile; width gradients \
                  need uniform or piecewise-constant profiles"
+            ),
+            ThermalModelError::StaleWorkspace => write!(
+                f,
+                "the solve workspace does not hold this model's last successful solve"
             ),
         }
     }

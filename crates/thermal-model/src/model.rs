@@ -291,8 +291,24 @@ impl Model {
     /// Same as [`Model::solve`].
     pub fn solve_with(&self, options: &SolveOptions, ws: &mut SolveWorkspace) -> Result<Solution> {
         self.solve_raw(options, ws)?;
+        Ok(self.unpack_solution(ws))
+    }
 
-        // Unpack node-major states into per-column profiles.
+    /// The [`Solution`] of the solve `ws` already holds for this model,
+    /// without solving again: bitwise what [`Model::solve_with`] returned
+    /// (or would have returned) for that solve.
+    ///
+    /// # Errors
+    ///
+    /// [`ThermalModelError::StaleWorkspace`] when `ws` does not hold this
+    /// model's last successful solve.
+    pub fn solution_from(&self, ws: &SolveWorkspace) -> Result<Solution> {
+        self.check_held(ws)?;
+        Ok(self.unpack_solution(ws))
+    }
+
+    /// Unpacks the node-major states in `ws` into per-column profiles.
+    fn unpack_solution(&self, ws: &SolveWorkspace) -> Solution {
         let n_nodes = ws.mesh.len();
         let s = 5 * self.columns.len();
         let states = &ws.bvp.rhs;
@@ -324,12 +340,12 @@ impl Model {
             })
             .sum();
 
-        Ok(Solution {
+        Solution {
             z: ws.mesh.clone(),
             columns,
             total_input_power,
             inlet_temperature: self.params.inlet_temperature.si(),
-        })
+        }
     }
 
     /// Solves the BVP and evaluates only the optimal-control cost integrals,
@@ -351,16 +367,10 @@ impl Model {
     }
 
     /// Solves the BVP and returns the `kind` cost integral together with its
-    /// exact gradient with respect to every width segment, by the discrete
-    /// adjoint of the collocation system (see `docs/ARCHITECTURE.md`).
-    ///
-    /// `gradient` is overwritten with `∂J/∂w` (cost units per metre of
-    /// width), column by column and inlet to outlet within a column: one
-    /// entry per segment of a piecewise-constant profile, one for a uniform
-    /// one. The cost is bitwise identical to the matching field of
-    /// [`Model::solve_costs_with`]. Beyond the forward solve, the gradient
-    /// costs one transposed back-substitution with the factors the forward
-    /// solve left in `ws`, and one pass over the mesh intervals.
+    /// exact gradient with respect to every width segment: the composition
+    /// of [`Model::solve_costs_with`] and [`Model::cost_gradient_from`].
+    /// The cost is bitwise identical to the matching field of
+    /// [`Model::solve_costs_with`].
     ///
     /// # Errors
     ///
@@ -373,9 +383,40 @@ impl Model {
         ws: &mut SolveWorkspace,
         gradient: &mut Vec<f64>,
     ) -> Result<f64> {
+        let cost = self.solve_costs_with(options, ws)?.get(kind);
+        self.cost_gradient_from(kind, ws, gradient)?;
+        Ok(cost)
+    }
+
+    /// The exact gradient of the `kind` cost integral with respect to every
+    /// width segment, by the discrete adjoint of the collocation system (see
+    /// `docs/ARCHITECTURE.md`), for the solve `ws` already holds for this
+    /// model. No forward solve: one transposed back-substitution with the
+    /// factors that solve left in `ws`, and one pass over the mesh
+    /// intervals. The states in `ws` are left untouched, so the solution and
+    /// further gradients can still be read from it.
+    ///
+    /// `gradient` is overwritten with `∂J/∂w` (cost units per metre of
+    /// width), column by column and inlet to outlet within a column: one
+    /// entry per segment of a piecewise-constant profile, one for a uniform
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// * [`ThermalModelError::UnsupportedProfile`] when a column's width
+    ///   profile is piecewise linear;
+    /// * [`ThermalModelError::StaleWorkspace`] when `ws` does not hold this
+    ///   model's last successful solve (compared by the width parameters,
+    ///   bit for bit, and the channel length);
+    /// * [`ThermalModelError::Microfluidics`] for unphysical widths.
+    pub fn cost_gradient_from(
+        &self,
+        kind: ObjectiveKind,
+        ws: &mut SolveWorkspace,
+        gradient: &mut Vec<f64>,
+    ) -> Result<()> {
         self.check_differentiable()?;
-        self.solve_raw(options, ws)?;
-        let cost = self.cost_integrals(&ws.mesh, &ws.bvp.rhs).get(kind);
+        self.check_held(ws)?;
 
         // ∂J/∂X of the trapezoid: node j enters intervals j−1 and j with
         // weight h/2 each, so ∂J/∂q_j = (h_{j−1} + h_j)·q_j·scale²; the
@@ -409,8 +450,7 @@ impl Model {
         // Mᵀλ = ∂J/∂X with the forward solve's factors.
         ws.bvp.solve_adjoint(lambda);
 
-        self.contract_width_sensitivities(&ws.mesh, &ws.bvp.rhs, &ws.adjoint, &ws.bcs, gradient)?;
-        Ok(cost)
+        self.contract_width_sensitivities(&ws.mesh, &ws.bvp.rhs, &ws.adjoint, &ws.bcs, gradient)
     }
 
     /// `dJ/dw = −λᵀ(∂M/∂w)X`, accumulated per width segment. Only the
@@ -521,6 +561,36 @@ impl Model {
         }
     }
 
+    /// The width parameters of every column, bit for bit: per column, its
+    /// profile kind and parameter count, then the parameters. Two models
+    /// with equal stamps (and equal lengths) assemble the same collocation
+    /// matrix for the same parameters and heat loads.
+    fn width_stamp(&self) -> impl Iterator<Item = u64> + '_ {
+        self.columns.iter().flat_map(|col| {
+            let width = &col.width;
+            let kind: u64 = match width {
+                WidthProfile::Uniform(_) => 0,
+                WidthProfile::PiecewiseConstant { .. } => 1,
+                WidthProfile::PiecewiseLinear { .. } => 2,
+            };
+            let n = width.parameter_count();
+            std::iter::once(kind << 32 | n as u64)
+                .chain((0..n).map(move |k| width.segment_width(k).si().to_bits()))
+        })
+    }
+
+    /// Whether `ws` holds this model's last successful solve.
+    fn check_held(&self, ws: &SolveWorkspace) -> Result<()> {
+        let length = ws.solved_mesh_key.map(|(d, _)| d.to_bits());
+        if length == Some(self.length.si().to_bits())
+            && self.width_stamp().eq(ws.solved_widths.iter().copied())
+        {
+            Ok(())
+        } else {
+            Err(ThermalModelError::StaleWorkspace)
+        }
+    }
+
     /// Width gradients need a finite set of width parameters per column.
     fn check_differentiable(&self) -> Result<()> {
         match self
@@ -535,8 +605,9 @@ impl Model {
 
     /// Shared internals of [`Model::solve_with`] / [`Model::solve_costs_with`]:
     /// mesh refresh, assembly and the banded solve, leaving the node-major
-    /// states in the workspace.
+    /// states in the workspace and stamping it with this model on success.
     fn solve_raw(&self, options: &SolveOptions, ws: &mut SolveWorkspace) -> Result<()> {
+        ws.solved_mesh_key = None;
         if options.mesh_intervals == 0 {
             return Err(ThermalModelError::InvalidOptions {
                 what: "mesh_intervals must be at least 1".to_string(),
@@ -566,6 +637,9 @@ impl Model {
         let coeffs = StackCoefficients::build(self)?;
         self.boundary_conditions_into(&mut ws.bcs);
         bvp::solve_into(&coeffs, &ws.mesh, &ws.bcs, &mut ws.bvp)?;
+        ws.solved_widths.clear();
+        ws.solved_widths.extend(self.width_stamp());
+        ws.solved_mesh_key = ws.mesh_key;
         Ok(())
     }
 
@@ -626,7 +700,7 @@ impl Model {
 
     /// `∂ΔP_c/∂w` of each column's pressure drop (paper Eq. 9) with respect
     /// to its own width segments, in the layout of
-    /// [`Model::solve_cost_gradient_with`] (a column's drop does not depend
+    /// [`Model::cost_gradient_from`] (a column's drop does not depend
     /// on the other columns' widths). Closed form through the friction
     /// model's `f·Re` and `D_h`.
     ///
@@ -1250,6 +1324,72 @@ mod tests {
         // Same mesh inputs for the first two cases (heat/width breakpoints
         // are uniform → none): only the resolution changes force rebuilds.
         assert_eq!(ws.mesh_builds(), 2);
+    }
+
+    #[test]
+    fn reads_from_a_workspace_need_its_last_successful_solve() {
+        let options = SolveOptions::with_mesh_intervals(64);
+        let kind = ObjectiveKind::GradientSquared;
+        let a = test_a_model(35.0);
+        let mut b = test_a_model(35.0);
+        b.set_width_profile(
+            0,
+            WidthProfile::piecewise_constant(vec![
+                Length::from_micrometers(45.0),
+                Length::from_micrometers(20.0),
+            ]),
+        )
+        .unwrap();
+        let stale = |r: Result<()>| matches!(r, Err(ThermalModelError::StaleWorkspace));
+        let mut gradient = Vec::new();
+
+        // Cold workspace: nothing held.
+        let mut ws = SolveWorkspace::new();
+        assert!(stale(a.cost_gradient_from(kind, &mut ws, &mut gradient)));
+        assert!(a.solution_from(&ws).is_err());
+
+        // The held solve serves its own model bitwise, and no other.
+        let solved = a.solve_with(&options, &mut ws).unwrap();
+        assert!(stale(b.cost_gradient_from(kind, &mut ws, &mut gradient)));
+        assert!(b.solution_from(&ws).is_err());
+        let mut fresh = Vec::new();
+        a.solve_cost_gradient_with(&options, kind, &mut SolveWorkspace::new(), &mut fresh)
+            .unwrap();
+        a.cost_gradient_from(kind, &mut ws, &mut gradient).unwrap();
+        assert_eq!(gradient.len(), 1);
+        assert_eq!(gradient[0].to_bits(), fresh[0].to_bits());
+        // The adjoint left the states alone: the solution reads back bitwise.
+        let again = a.solution_from(&ws).unwrap();
+        for (x, y) in again.columns()[0]
+            .t_top_kelvin()
+            .iter()
+            .zip(solved.columns()[0].t_top_kelvin())
+        {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+
+        // A later solve of another model makes the workspace stale for `a`.
+        b.solve_costs_with(&options, &mut ws).unwrap();
+        assert!(stale(a.cost_gradient_from(kind, &mut ws, &mut gradient)));
+        b.cost_gradient_from(kind, &mut ws, &mut gradient).unwrap();
+        assert_eq!(gradient.len(), 2);
+        let mut fresh = Vec::new();
+        b.solve_cost_gradient_with(&options, kind, &mut SolveWorkspace::new(), &mut fresh)
+            .unwrap();
+        assert_eq!(
+            gradient.iter().map(|g| g.to_bits()).collect::<Vec<_>>(),
+            fresh.iter().map(|g| g.to_bits()).collect::<Vec<_>>()
+        );
+
+        // A failed solve leaves nothing held, even for the same model.
+        assert!(b
+            .solve_with(&SolveOptions::with_mesh_intervals(0), &mut ws)
+            .is_err());
+        assert!(stale(b.cost_gradient_from(kind, &mut ws, &mut gradient)));
+        assert!(matches!(
+            b.solution_from(&ws),
+            Err(ThermalModelError::StaleWorkspace)
+        ));
     }
 
     #[test]

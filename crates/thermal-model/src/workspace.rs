@@ -13,10 +13,17 @@
 //! * the **banded matrix**, **factorization** and **right-hand side** are
 //!   factored in place ([`crate::linalg::BandedMatrix::factor_into`]) and
 //!   recycled, swapping storage back and forth instead of reallocating; the
-//!   factors stay in the workspace after a solve, so the adjoint gradient
-//!   ([`Model::solve_cost_gradient_with`](crate::Model::solve_cost_gradient_with))
-//!   reuses them for its transposed solve;
+//!   factors and states stay in the workspace after a solve, so the adjoint
+//!   gradient ([`Model::cost_gradient_from`](crate::Model::cost_gradient_from))
+//!   and the profiles ([`Model::solution_from`](crate::Model::solution_from))
+//!   can be read from it later without solving again;
 //! * coefficient, boundary-condition and adjoint scratch buffers are reused.
+//!
+//! A workspace also records *which* model its last successful solve was for
+//! (the width parameters bit for bit and the channel length), so reading a
+//! gradient or a solution back for a different model, or after a failed
+//! solve, is a typed [`ThermalModelError::StaleWorkspace`](crate::ThermalModelError::StaleWorkspace)
+//! rather than a silently wrong answer.
 //!
 //! # Lifecycle
 //!
@@ -71,6 +78,12 @@ pub struct SolveWorkspace {
     pub(crate) adjoint: Vec<f64>,
     /// `(length, base intervals)` of the cached mesh, `None` when cold.
     pub(crate) mesh_key: Option<(f64, usize)>,
+    /// Width parameters of the model the held solve is for, in the layout
+    /// of `Model::width_stamp`.
+    pub(crate) solved_widths: Vec<u64>,
+    /// Mesh key of the held solve; `None` while the workspace holds no
+    /// successful solve (cold, or the last solve failed).
+    pub(crate) solved_mesh_key: Option<(f64, usize)>,
     /// Solves served since construction (cache diagnostics for benches).
     pub(crate) solves: usize,
     /// Mesh rebuilds performed (≥ 1 after the first solve).
@@ -88,6 +101,8 @@ impl SolveWorkspace {
             bcs: Vec::new(),
             adjoint: Vec::new(),
             mesh_key: None,
+            solved_widths: Vec::new(),
+            solved_mesh_key: None,
             solves: 0,
             mesh_builds: 0,
         }
@@ -124,5 +139,6 @@ mod tests {
         assert_eq!(ws.solves(), 0);
         assert_eq!(ws.mesh_builds(), 0);
         assert!(ws.mesh_key.is_none());
+        assert!(ws.solved_mesh_key.is_none());
     }
 }

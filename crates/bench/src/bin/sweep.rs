@@ -20,7 +20,7 @@
 //!
 //! The `fleet` mode co-optimizes *several* MPSoC stacks under one shared
 //! pump budget: per budget variant, the same fleet runs under uniform,
-//! gradient-water-filling, greedy and predictive (one-step-MPC) flow
+//! gradient-water-filling and predictive (one-step-MPC) flow
 //! allocation, and a double gate requires water-filling to strictly beat
 //! the uniform split *and* the predictive allocator to strictly beat
 //! water-filling on the worst stack's time-peak gradient.
@@ -85,6 +85,7 @@ use liquamod::fleet::{
 use liquamod::floorplan::PowerLevel;
 use liquamod::grid_sim::{ExponentialOptions, StepperKind};
 use liquamod::mpsoc::{run_mpsoc_sweep, MpsocGrid, MpsocReport, MpsocSweepOptions};
+use liquamod::obs::json_escape;
 use liquamod::serve::{
     run_soak, soak_level, soak_outcomes_match, verify_snapshot_restore, verify_streaming_identity,
     ServeOptions, SnapshotFidelity, SoakOutcome, SoakPlan, StreamingIdentity,
@@ -311,18 +312,6 @@ fn report_stats(label: &str, report: &SweepReport) {
         report.throughput_per_second(),
         report.total_evaluations(),
     );
-}
-
-/// Minimal JSON string escaping (labels are plain ASCII, but stay correct).
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Renders the `BENCH_sweep.json` record; see the README's "Performance"
@@ -970,7 +959,9 @@ fn fleet_json_record(
     // `predictive_final_allocation`) and the surrogate-fit diagnostics
     // (`predictive_forecast_hits`, `predictive_surrogate_refits`,
     // `predictive_mean_abs_slope_k_per_scale`).
-    out.push_str("  \"schema_version\": 5,\n");
+    // v6: the greedy policy is gone — drops `worst_gradient_greedy_k` and
+    // `greedy_reduction`.
+    out.push_str("  \"schema_version\": 6,\n");
     out.push_str(&format!(
         "  \"grid\": {{\"variants\": {}, \"stacks\": {}, \"budget_scales\": {}}},\n",
         grid.len(),
@@ -1049,9 +1040,8 @@ fn fleet_json_record(
         let predictive_allocation = join6(&row.predictive_final_allocation);
         out.push_str(&format!(
             "    {{\"label\": \"{}\", \"worst_gradient_uniform_k\": {:.6}, \
-             \"worst_gradient_waterfill_k\": {:.6}, \"worst_gradient_greedy_k\": {:.6}, \
-             \"worst_gradient_predictive_k\": {:.6}, \
-             \"waterfill_reduction\": {:.6}, \"greedy_reduction\": {:.6}, \
+             \"worst_gradient_waterfill_k\": {:.6}, \"worst_gradient_predictive_k\": {:.6}, \
+             \"waterfill_reduction\": {:.6}, \
              \"predictive_reduction\": {:.6}, \"predictive_margin\": {:.6}, \
              \"waterfill_final_allocation\": [{allocation}], \
              \"predictive_final_allocation\": [{predictive_allocation}], \
@@ -1060,10 +1050,8 @@ fn fleet_json_record(
             json_escape(&row.variant.label()),
             row.worst_gradient_uniform_k,
             row.worst_gradient_waterfill_k,
-            row.worst_gradient_greedy_k,
             row.worst_gradient_predictive_k,
             row.waterfill_reduction,
-            row.greedy_reduction,
             row.predictive_reduction,
             row.predictive_margin,
             row.predictive_forecast_hits,
@@ -1077,7 +1065,7 @@ fn fleet_json_record(
 }
 
 /// The fleet mode: several full-chip stacks co-optimized under one shared
-/// pump budget, with the four allocation policies head-to-head. Gates
+/// pump budget, with the three allocation policies head-to-head. Gates
 /// twice per variant: waterfill strictly beats uniform, and predictive
 /// strictly beats waterfill.
 fn run_fleet_mode(args: &Args) -> ExitCode {

@@ -5,7 +5,8 @@
 //! the requested flow, valves that actuate, an inlet held at its nominal
 //! 300 K. This module defines the *degraded-operation contract*: a
 //! deterministic, seeded [`FaultSchedule`] of timestamped [`FaultEvent`]s
-//! is threaded through the fleet loop ([`run_faulted_fleet`]) and the
+//! is threaded through the fleet engine ([`run_faulted_fleet`] runs one
+//! faulted lane of the fleet wavefront scheduler) and the
 //! per-stack transient controller
 //! ([`ModulationController::run_faulted`](crate::transient::ModulationController::run_faulted)),
 //! and every fault surfaces as a structured [`DegradedEvent`] instead of a
@@ -27,24 +28,24 @@
 //! serial bitwise guarantee: schedules are replayable, and worker counts
 //! cannot leak into the physics.
 //!
-//! [`run_faults_sweep`] fans the scenario grid
+//! [`run_faults_sweep`] runs the scenario grid
 //! ([`FaultScenario`]: healthy / pump-ramp / stuck-valve / inlet-excursion,
 //! each under the fault-aware controller *and* the fault-oblivious
-//! baseline) across worker threads; the bench `sweep -- faults` mode gates
-//! on the aware controller strictly beating the oblivious one on the worst
-//! stack's time-peak gradient while staying within [`EXCURSION_BOUND`] of
-//! the healthy run.
+//! baseline) as lanes of one wavefront group; the bench `sweep -- faults`
+//! mode gates on the aware controller strictly beating the oblivious one
+//! on the worst stack's time-peak gradient while staying within
+//! [`EXCURSION_BOUND`] of the healthy run.
 
-use crate::fleet::{allocate, FleetOptions, PumpBudget, SegmentMetrics, StackRun, StackSpec};
-use crate::mpsoc::MpsocModulated;
+use crate::fleet::{
+    allocate, push_segment_channels, run_fleet_lanes, FleetLane, FleetOptions, FleetOutcome,
+    LanePlant, PumpBudget, StackRun, StackSpec,
+};
 use crate::obs;
-use crate::sweep::run_variant_sweep;
-use crate::transient::{ModulationPolicy, ResumeState};
 use crate::{CoreError, CsvTable, Result};
-use liquamod_floorplan::arch::Architecture;
+use liquamod_grid_sim::snapshot as snap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The declared excursion bound of the degraded-operation contract: under
 /// every fault scenario of the bench grid, the fault-aware controller must
@@ -84,14 +85,15 @@ pub enum ValveMode {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SegmentFaults {
     /// Coolant inlet-temperature excursion over the segment, kelvin
-    /// (0.0 = nominal). The thermal effect comes from the plant family the
-    /// caller builds via
-    /// [`MpsocConfig::with_inlet_offset`](crate::mpsoc::MpsocConfig::with_inlet_offset);
-    /// this field drives event reporting.
+    /// (0.0 = nominal). The fleet's segment runner builds the plant at
+    /// this offset
+    /// ([`MpsocConfig::with_inlet_offset`](crate::mpsoc::MpsocConfig::with_inlet_offset));
+    /// inside the controller the field drives event reporting.
     pub inlet_delta_k: f64,
-    /// Whether the controller knows about the excursion (drives the
-    /// [`DegradedKind::InletExcursion`] event; the *thermal* awareness is
-    /// which family the caller optimized against).
+    /// Whether the controller knows about the excursion: it drives the
+    /// [`DegradedKind::InletExcursion`] event, and the fleet's segment
+    /// runner optimizes against the true inlet when set, the nominal one
+    /// otherwise.
     pub inlet_known: bool,
     /// Valve-group actuation state.
     pub valve: ValveMode,
@@ -536,8 +538,8 @@ pub struct FaultedFleetOutcome {
     /// Whether the run was fault-aware (`true`) or the fault-oblivious
     /// baseline (`false`).
     pub aware: bool,
-    /// One trajectory per stack, in spec order (the same
-    /// [`StackRun`]/[`SegmentMetrics`] records the healthy fleet uses).
+    /// One trajectory per stack, in spec order (the same [`StackRun`]
+    /// records the healthy fleet uses).
     pub stacks: Vec<StackRun>,
     /// The flow shares each segment ran at: `allocations[segment][stack]`.
     pub allocations: Vec<Vec<f64>>,
@@ -547,6 +549,16 @@ pub struct FaultedFleetOutcome {
 }
 
 impl FaultedFleetOutcome {
+    /// Folds one faulted lane of the fleet engine into the faults record.
+    fn from_lane(aware: bool, outcome: FleetOutcome, degraded: Vec<DegradedEvent>) -> Self {
+        Self {
+            aware,
+            stacks: outcome.stacks,
+            allocations: outcome.allocations,
+            degraded,
+        }
+    }
+
     /// The worst stack's time-peak inter-layer gradient, kelvin — the
     /// metric the degraded controller is gated on.
     #[must_use]
@@ -580,81 +592,221 @@ impl FaultedFleetOutcome {
     /// parsed by the same comparer at 1e-9.
     #[must_use]
     pub fn golden_json(&self, scenario: &str) -> String {
-        fn num_array(values: impl Iterator<Item = f64>) -> String {
-            let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-            format!("[{}]", items.join(", "))
-        }
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!(
-            "  \"aware\": {},\n",
-            if self.aware { 1 } else { 0 }
-        ));
-        let allocations: Vec<String> = self
-            .allocations
-            .iter()
-            .map(|a| num_array(a.iter().copied()))
-            .collect();
-        out.push_str(&format!(
-            "  \"allocations\": [{}],\n",
-            allocations.join(", ")
-        ));
-        let per_stack = |f: &dyn Fn(&SegmentMetrics) -> f64| -> String {
-            let rows: Vec<String> = self
-                .stacks
-                .iter()
-                .map(|s| num_array(s.segments.iter().map(f)))
-                .collect();
-            format!("[{}]", rows.join(", "))
-        };
-        out.push_str(&format!(
-            "  \"segment_gradient_k\": {},\n",
-            per_stack(&|m| m.peak_gradient_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_temperature_k\": {},\n",
-            per_stack(&|m| m.peak_temperature_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_evaluations\": {},\n",
-            per_stack(&|m| m.evaluations as f64)
-        ));
+        let mut out = format!(
+            "{{\n  \"schema_version\": 1,\n  \"scenario\": \"{scenario}\",\n  \"aware\": {},\n",
+            u8::from(self.aware)
+        );
+        push_segment_channels(&mut out, &self.allocations, &self.stacks);
         // One (code, segment, stack, time) quadruple per degraded event;
         // -1 encodes "not applicable".
         let events: Vec<String> = self
             .degraded
             .iter()
             .map(|e| {
-                num_array(
-                    [
-                        f64::from(e.kind.code()),
-                        e.segment.map_or(-1.0, |s| s as f64),
-                        e.stack.map_or(-1.0, |s| s as f64),
-                        e.time_seconds,
-                    ]
-                    .into_iter(),
-                )
+                snap::render_array([
+                    f64::from(e.kind.code()),
+                    e.segment.map_or(-1.0, |s| s as f64),
+                    e.stack.map_or(-1.0, |s| s as f64),
+                    e.time_seconds,
+                ])
             })
             .collect();
         out.push_str(&format!(
             "  \"degraded_events\": [{}],\n",
             events.join(", ")
         ));
-        out.push_str(&format!(
-            "  \"worst_gradient_k\": {:e}\n",
-            self.worst_stack_peak_gradient_k()
-        ));
+        let worst = self.worst_stack_peak_gradient_k();
+        snap::push_scalar(&mut out, "worst_gradient_k", worst, true);
         out.push_str("}\n");
         out
+    }
+}
+
+/// Records a fleet-level degraded event: into the run's list and, as a
+/// structured event, into the [`crate::obs`] stream.
+fn record(degraded: &mut Vec<DegradedEvent>, event: DegradedEvent) {
+    obs::event(
+        event.kind.label(),
+        format!("t={:.6} s: {}", event.time_seconds, event.detail),
+    );
+    degraded.push(event);
+}
+
+/// The fault seam of the fleet engine: how a `LanePlant::Faulted` lane
+/// reads its schedule. Every query samples the schedule at a segment
+/// midpoint or boundary of `seg_seconds`-long reallocation segments.
+impl FaultSchedule {
+    /// The conditions `stack` runs segment `seg` under: the inlet excursion
+    /// (known to an aware controller), the valve state (a stuck valve is
+    /// known to an aware controller, silent to an oblivious one) and the
+    /// epoch-fallback rule, always armed under a schedule.
+    pub(crate) fn segment_faults(
+        &self,
+        aware: bool,
+        seg_seconds: f64,
+        seg: usize,
+        stack: usize,
+    ) -> SegmentFaults {
+        let t_mid = (seg as f64 + 0.5) * seg_seconds;
+        SegmentFaults {
+            inlet_delta_k: self.inlet_delta_k(stack, t_mid),
+            inlet_known: aware,
+            valve: match (self.valve_stuck(stack, t_mid), aware) {
+                (false, _) => ValveMode::Healthy,
+                (true, true) => ValveMode::StuckKnown,
+                (true, false) => ValveMode::StuckSilent,
+            },
+            tolerant: true,
+        }
+    }
+
+    /// The flow shares segment `seg` of a fleet run under `options` runs
+    /// at. Aware: [`FleetOptions::allocation`] on the `feedback` gradients
+    /// (zeros before segment 0) against the pump's decayed budget,
+    /// re-validated per segment ([`PumpBudget::validate_at`]) and allocated
+    /// against the relaxed valve band ([`PumpBudget::clamped_feasible`],
+    /// recording a [`DegradedKind::BudgetClamped`] event) when the decay
+    /// leaves the feasible one. Oblivious: the healthy design's static
+    /// uniform split, physically rescaled by the decay — the pump delivers
+    /// what it delivers.
+    pub(crate) fn segment_shares(
+        &self,
+        aware: bool,
+        options: &FleetOptions,
+        seg: usize,
+        feedback: &[f64],
+        degraded: &mut Vec<DegradedEvent>,
+    ) -> Result<Vec<f64>> {
+        let (budget, seg_seconds) = (&options.budget, options.segment_seconds());
+        let n = feedback.len();
+        let factor = self.pump_factor((seg as f64 + 0.5) * seg_seconds);
+        if !aware {
+            return Ok(vec![budget.uniform_share(n) * factor; n]);
+        }
+        let mut effective = PumpBudget {
+            total_scale: budget.total_scale * factor,
+            ..*budget
+        };
+        match effective.validate_at(n, Some(seg)) {
+            Ok(()) => {}
+            Err(e @ CoreError::BudgetInfeasible { .. }) => {
+                effective = effective.clamped_feasible(n);
+                let detail = format!(
+                    "{e}; allocating against the relaxed band [{}, {}]",
+                    effective.min_scale, effective.max_scale
+                );
+                record(
+                    degraded,
+                    DegradedEvent {
+                        kind: DegradedKind::BudgetClamped,
+                        segment: Some(seg),
+                        stack: None,
+                        time_seconds: seg as f64 * seg_seconds,
+                        detail,
+                    },
+                );
+            }
+            Err(e) => return Err(e),
+        }
+        allocate(options.allocation, &effective, feedback)
+    }
+
+    /// The aware allocator's view of the gradients `measured` over segment
+    /// `seg`, handed to segment `seg + 1`'s allocation: perturbed by the
+    /// scheduled sensor noise ([`DegradedKind::FeedbackNoisy`]), a dropped
+    /// stack's value replaced by its last good measurement
+    /// ([`DegradedKind::FeedbackDropped`]), and measurements contaminated
+    /// by a known inlet excursion replaced by the clean-fleet mean.
+    /// `last_feedback` carries the last good measurements across calls.
+    pub(crate) fn feedback(
+        &self,
+        seg_seconds: f64,
+        seg: usize,
+        measured: &[f64],
+        last_feedback: &mut [f64],
+        degraded: &mut Vec<DegradedEvent>,
+    ) -> Vec<f64> {
+        let n = measured.len();
+        let t_mid = (seg as f64 + 0.5) * seg_seconds;
+        let t_boundary = (seg + 1) as f64 * seg_seconds;
+        // A known inlet excursion makes a stack's gradient measurement
+        // uninformative — the hot inlet *suppresses* the inter-layer
+        // gradient while active, and the segment after it ends carries a
+        // transient flush spike as the stored heat is swept out. Chasing
+        // either steers the allocator exactly wrong, so measurements from
+        // the excursion window plus one flush segment are treated as
+        // contaminated and replaced by the clean-fleet mean below.
+        let prev_mid = (seg as f64 - 0.5) * seg_seconds;
+        let mut feedback = vec![0.0; n];
+        let mut contaminated = Vec::new();
+        for i in 0..n {
+            if self.feedback_dropped(i, t_boundary) {
+                feedback[i] = last_feedback[i];
+                let detail = format!(
+                    "gradient feedback dropped; reusing last good measurement {:.3} K",
+                    last_feedback[i]
+                );
+                record(
+                    degraded,
+                    DegradedEvent {
+                        kind: DegradedKind::FeedbackDropped,
+                        segment: Some(seg + 1),
+                        stack: Some(i),
+                        time_seconds: t_boundary,
+                        detail,
+                    },
+                );
+            } else if self.inlet_delta_k(i, t_mid) > 0.0
+                || (seg > 0 && self.inlet_delta_k(i, prev_mid) > 0.0)
+            {
+                contaminated.push(i);
+            } else {
+                let noise = self.feedback_noise_k(seg + 1, i);
+                feedback[i] = (measured[i] + noise).max(0.0);
+                last_feedback[i] = feedback[i];
+            }
+        }
+        if !contaminated.is_empty() {
+            // Uninformative prior: a contaminated stack allocates like an
+            // average one. All-contaminated degenerates to all-zero
+            // feedback, which the waterfill maps to the uniform split.
+            let clean = n - contaminated.len();
+            let mean = if clean == 0 {
+                0.0
+            } else {
+                feedback.iter().sum::<f64>() / clean as f64
+            };
+            for &i in &contaminated {
+                feedback[i] = mean;
+            }
+        }
+        if self.noise_amplitude_k() > 0.0 {
+            let detail = format!(
+                "gradient feedback perturbed by ±{} K before allocation",
+                self.noise_amplitude_k()
+            );
+            record(
+                degraded,
+                DegradedEvent {
+                    kind: DegradedKind::FeedbackNoisy,
+                    segment: Some(seg + 1),
+                    stack: None,
+                    time_seconds: t_boundary,
+                    detail,
+                },
+            );
+        }
+        feedback
     }
 }
 
 /// Runs a fleet of stacks through a [`FaultSchedule`].
 ///
 /// Time is cut into reallocation segments exactly like
-/// [`run_fleet`](crate::fleet::run_fleet); each segment samples the
-/// schedule at its midpoint and runs every stack through
+/// [`run_fleet`](crate::fleet::run_fleet) — the run is one faulted lane of
+/// the same wavefront scheduler, so its stacks fan out per segment across
+/// [`FleetOptions::mode`]'s workers. Each segment samples the schedule at
+/// its midpoint and runs every stack through
 /// [`ModulationController::run_faulted`](crate::transient::ModulationController::run_faulted)
 /// at its granted flow share, the thermal state carried over exactly across
 /// reallocations.
@@ -663,21 +815,21 @@ impl FaultedFleetOutcome {
 /// path: per-segment budget re-validation
 /// ([`PumpBudget::validate_at`]) with valve-band clamping when the decayed
 /// budget leaves the feasible band, allocation by
-/// [`FleetOptions::allocation`] on the gradient feedback (noise-perturbed;
-/// dropouts hold the last good measurement; measurements contaminated by a
-/// known inlet excursion — suppressed while the hot inlet is active,
-/// spiking during the post-excursion flush — are replaced by the
-/// clean-fleet mean), known-stuck valves skipping their epoch optimizer,
-/// and true-inlet optimization under excursions. With `aware = false` the
-/// run models the fault-oblivious baseline: static uniform provisioning
-/// from the *nominal* budget, physically rescaled by the pump decay, with
-/// the controller optimizing against the nominal inlet and commanding a
-/// plant whose valves may silently ignore it.
+/// [`FleetOptions::allocation`] (without a predictive context) on the
+/// gradient feedback (noise-perturbed; dropouts hold the last good
+/// measurement; measurements contaminated by a known inlet excursion —
+/// suppressed while the hot inlet is active, spiking during the
+/// post-excursion flush — are replaced by the clean-fleet mean),
+/// known-stuck valves skipping their epoch optimizer, and true-inlet
+/// optimization under excursions. With `aware = false` the run models the
+/// fault-oblivious baseline: static uniform provisioning from the
+/// *nominal* budget, physically rescaled by the pump decay, with the
+/// controller optimizing against the nominal inlet and commanding a plant
+/// whose valves may silently ignore it.
 ///
-/// The loop is strictly serial — one scenario run is the unit of
-/// parallelism ([`run_faults_sweep`]) — and every fault query is a pure
-/// function of `(schedule, time)`, so outcomes are bitwise independent of
-/// worker count.
+/// Every fault query is a pure function of `(schedule, time)` and the
+/// allocator runs between segments on the calling thread, so outcomes are
+/// bitwise independent of worker count.
 ///
 /// # Errors
 ///
@@ -692,263 +844,18 @@ pub fn run_faulted_fleet(
     schedule: &FaultSchedule,
     aware: bool,
 ) -> Result<FaultedFleetOutcome> {
-    let n = stacks.len();
-    if n == 0 {
-        return Err(CoreError::InvalidConfig {
-            what: "a faulted fleet needs at least one stack".into(),
-        });
-    }
-    schedule.validate(n)?;
-    options.budget.validate(n)?;
-    if options.segments_per_phase == 0 {
-        return Err(CoreError::InvalidConfig {
-            what: "segments_per_phase must be ≥ 1".into(),
-        });
-    }
-    let seg_seconds = options.phase_seconds / options.segments_per_phase as f64;
-    if !(seg_seconds.is_finite() && seg_seconds >= options.config.dt_seconds) {
-        return Err(CoreError::InvalidConfig {
-            what: format!(
-                "a reallocation segment of {seg_seconds} s is shorter than one {} s step",
-                options.config.dt_seconds
-            ),
-        });
-    }
-    let archs: Vec<Architecture> = stacks.iter().map(|s| s.arch.architecture()).collect();
-    let segmented: Vec<Vec<_>> = stacks
-        .iter()
-        .zip(&archs)
-        .map(|(s, arch)| {
-            let trace = s.trace.trace(
-                arch,
-                options.phase_seconds,
-                options.config.nx,
-                options.config.nz,
-            );
-            crate::fleet::segment_traces(&trace, options.segments_per_phase)
-        })
-        .collect();
-    let n_segments = segmented[0].len();
-    if let Some((i, bad)) = segmented
-        .iter()
-        .enumerate()
-        .find(|(_, s)| s.len() != n_segments)
-    {
-        return Err(CoreError::InvalidConfig {
-            what: format!(
-                "fleet traces must align: stack 0 has {n_segments} segments, stack {i} has {}",
-                bad.len()
-            ),
-        });
-    }
-
-    let mut degraded: Vec<DegradedEvent> = Vec::new();
-    let nominal_share = options.budget.uniform_share(n);
-    // The allocation the upcoming segment `seg` runs at, from the feedback
-    // gradients measured over the previous one (zeros before segment 0).
-    let alloc_for =
-        |seg: usize, gradients: &[f64], degraded: &mut Vec<DegradedEvent>| -> Result<Vec<f64>> {
-            let t_mid = (seg as f64 + 0.5) * seg_seconds;
-            let factor = schedule.pump_factor(t_mid);
-            if !aware {
-                // Fault-oblivious: the pump delivers what it delivers, split by
-                // the healthy-design static provisioning.
-                return Ok(vec![nominal_share * factor; n]);
-            }
-            let mut effective = PumpBudget {
-                total_scale: options.budget.total_scale * factor,
-                min_scale: options.budget.min_scale,
-                max_scale: options.budget.max_scale,
-            };
-            match effective.validate_at(n, Some(seg)) {
-                Ok(()) => {}
-                Err(e @ CoreError::BudgetInfeasible { .. }) => {
-                    effective = effective.clamped_feasible(n);
-                    let event = DegradedEvent {
-                        kind: DegradedKind::BudgetClamped,
-                        segment: Some(seg),
-                        stack: None,
-                        time_seconds: seg as f64 * seg_seconds,
-                        detail: format!(
-                            "{e}; allocating against the relaxed band [{}, {}]",
-                            effective.min_scale, effective.max_scale
-                        ),
-                    };
-                    obs::event(
-                        event.kind.label(),
-                        format!("t={:.6} s: {}", event.time_seconds, event.detail),
-                    );
-                    degraded.push(event);
-                }
-                Err(e) => return Err(e),
-            }
-            allocate(options.allocation, &effective, gradients)
-        };
-
-    let mut allocs = alloc_for(0, &vec![0.0; n], &mut degraded)?;
-    let mut carries: Vec<Option<ResumeState>> = vec![None; n];
-    let mut per_stack: Vec<Vec<SegmentMetrics>> = vec![Vec::with_capacity(n_segments); n];
-    let mut allocations: Vec<Vec<f64>> = Vec::with_capacity(n_segments);
-    // The allocator's view of each stack's last good measurement (for
-    // dropout patching).
-    let mut last_feedback = vec![0.0; n];
-
-    // `seg` drives the fault-schedule clock and indexes several per-stack
-    // tables at once, so the range loop reads clearer than an iterator.
-    #[allow(clippy::needless_range_loop)]
-    for seg in 0..n_segments {
-        let t_mid = (seg as f64 + 0.5) * seg_seconds;
-        let mut measured = vec![0.0; n];
-        for i in 0..n {
-            let stuck = schedule.valve_stuck(i, t_mid);
-            let delta = schedule.inlet_delta_k(i, t_mid);
-            let base = options.config.with_flow_scale(allocs[i])?;
-            let plant_config = base.with_inlet_offset(delta)?;
-            let faults = SegmentFaults {
-                inlet_delta_k: delta,
-                inlet_known: aware,
-                valve: match (stuck, aware) {
-                    (false, _) => ValveMode::Healthy,
-                    (true, true) => ValveMode::StuckKnown,
-                    (true, false) => ValveMode::StuckSilent,
-                },
-                tolerant: true,
-            };
-            let policy = ModulationPolicy::Modulated(options.policy);
-            let (outcome, resume) = if aware {
-                // Aware: the controller's belief *is* the plant (true
-                // inlet, true flow share).
-                MpsocModulated::for_arch(&archs[i], plant_config)?
-                    .controller(policy)?
-                    .run_faulted(&segmented[i][seg], carries[i].clone(), &faults, None)?
-            } else {
-                // Oblivious: the controller optimizes against the nominal
-                // inlet while the stepped plant runs the true one.
-                let plant = MpsocModulated::for_arch(&archs[i], plant_config)?;
-                MpsocModulated::for_arch(&archs[i], base)?
-                    .controller(policy)?
-                    .run_faulted(
-                        &segmented[i][seg],
-                        carries[i].clone(),
-                        &faults,
-                        Some(&plant),
-                    )?
-            };
-            for event in outcome.degraded.iter().cloned() {
-                degraded.push(DegradedEvent {
-                    segment: Some(seg),
-                    stack: Some(i),
-                    time_seconds: seg as f64 * seg_seconds + event.time_seconds,
-                    ..event
-                });
-            }
-            measured[i] = outcome.peak_gradient_k();
-            per_stack[i].push(SegmentMetrics {
-                segment: seg,
-                phase: segmented[i][seg].phases()[0].label.clone(),
-                flow_scale: allocs[i],
-                peak_gradient_k: outcome.peak_gradient_k(),
-                peak_temperature_k: outcome.peak_temperature_k(),
-                epochs: outcome.epochs.len(),
-                epochs_adopted: outcome.epochs_adopted(),
-                evaluations: outcome.total_evaluations(),
-            });
-            carries[i] = Some(resume);
-        }
-        allocations.push(std::mem::take(&mut allocs));
-        if seg + 1 < n_segments {
-            let t_boundary = (seg + 1) as f64 * seg_seconds;
-            let mut feedback = vec![0.0; n];
-            if aware {
-                // A known inlet excursion makes a stack's gradient
-                // measurement uninformative — the hot inlet *suppresses*
-                // the inter-layer gradient while active, and the segment
-                // after it ends carries a transient flush spike as the
-                // stored heat is swept out. Chasing either steers the
-                // allocator exactly wrong, so measurements from the
-                // excursion window plus one flush segment are treated as
-                // contaminated and replaced by the clean-fleet mean below.
-                let prev_mid = (seg as f64 - 0.5) * seg_seconds;
-                let mut contaminated = Vec::new();
-                for i in 0..n {
-                    if schedule.feedback_dropped(i, t_boundary) {
-                        feedback[i] = last_feedback[i];
-                        let event = DegradedEvent {
-                            kind: DegradedKind::FeedbackDropped,
-                            segment: Some(seg + 1),
-                            stack: Some(i),
-                            time_seconds: t_boundary,
-                            detail: format!(
-                                "gradient feedback dropped; reusing last good measurement \
-                                 {:.3} K",
-                                last_feedback[i]
-                            ),
-                        };
-                        obs::event(
-                            event.kind.label(),
-                            format!("t={:.6} s: {}", event.time_seconds, event.detail),
-                        );
-                        degraded.push(event);
-                    } else if schedule.inlet_delta_k(i, t_mid) > 0.0
-                        || (seg > 0 && schedule.inlet_delta_k(i, prev_mid) > 0.0)
-                    {
-                        contaminated.push(i);
-                    } else {
-                        let noise = schedule.feedback_noise_k(seg + 1, i);
-                        feedback[i] = (measured[i] + noise).max(0.0);
-                        last_feedback[i] = feedback[i];
-                    }
-                }
-                if !contaminated.is_empty() {
-                    // Uninformative prior: a contaminated stack allocates
-                    // like an average one. All-contaminated degenerates to
-                    // all-zero feedback, which the waterfill maps to the
-                    // uniform split.
-                    let clean = n - contaminated.len();
-                    let mean = if clean == 0 {
-                        0.0
-                    } else {
-                        feedback.iter().sum::<f64>() / clean as f64
-                    };
-                    for &i in &contaminated {
-                        feedback[i] = mean;
-                    }
-                }
-                if schedule.noise_amplitude_k() > 0.0 {
-                    let event = DegradedEvent {
-                        kind: DegradedKind::FeedbackNoisy,
-                        segment: Some(seg + 1),
-                        stack: None,
-                        time_seconds: t_boundary,
-                        detail: format!(
-                            "gradient feedback perturbed by ±{} K before allocation",
-                            schedule.noise_amplitude_k()
-                        ),
-                    };
-                    obs::event(
-                        event.kind.label(),
-                        format!("t={:.6} s: {}", event.time_seconds, event.detail),
-                    );
-                    degraded.push(event);
-                }
-            }
-            allocs = alloc_for(seg + 1, &feedback, &mut degraded)?;
-        }
-    }
-
-    Ok(FaultedFleetOutcome {
-        aware,
-        stacks: stacks
-            .iter()
-            .zip(per_stack)
-            .map(|(spec, segments)| StackRun {
-                spec: spec.clone(),
-                segments,
-            })
-            .collect(),
-        allocations,
-        degraded,
-    })
+    let lane = FleetLane {
+        options: options.clone(),
+        plant: LanePlant::Faulted {
+            schedule: schedule.clone(),
+            aware,
+        },
+        dedup_group: 0,
+    };
+    let (outcome, degraded) = run_fleet_lanes(stacks, &[lane])?
+        .pop()
+        .expect("one lane in, one outcome out");
+    Ok(FaultedFleetOutcome::from_lane(aware, outcome, degraded))
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,8 +942,8 @@ pub struct FaultsSweepOptions {
     /// Base fleet-run options shared by every scenario.
     /// [`FleetOptions::allocation`] is the *aware* controller's policy (the
     /// oblivious baseline always provisions uniformly);
-    /// [`FleetOptions::mode`] drives the scenario-level fan-out (each
-    /// scenario run is itself serial).
+    /// [`FleetOptions::mode`] drives the per-segment fan-out of every
+    /// run's stacks.
     pub fleet: FleetOptions,
     /// Scenarios to run.
     pub scenarios: Vec<FaultScenario>,
@@ -1091,7 +998,8 @@ pub struct FaultsReport {
     /// The declared excursion bound the rows are gated against
     /// ([`EXCURSION_BOUND`]).
     pub excursion_bound: f64,
-    /// Worker threads the scenario fan-out actually used.
+    /// Worker threads the per-segment (run × stack) fan-out actually
+    /// used.
     pub workers: usize,
     /// Wall-clock time of the whole sweep.
     pub wall: Duration,
@@ -1138,13 +1046,15 @@ impl FaultsReport {
 
 /// Runs every scenario of `options` — each under the fault-aware
 /// controller *and* the fault-oblivious baseline — and collects the
-/// report. The `(scenario, mode)` units fan out across worker threads with
-/// the workspace-wide guarantee: each unit is a pure function, so parallel
-/// and serial sweeps are bitwise identical.
+/// report. The `(scenario, mode)` runs are faulted lanes of **one**
+/// wavefront group: every segment's (run × stack) tasks share one worker
+/// fan-out, with the workspace-wide guarantee that parallel and serial
+/// sweeps are bitwise identical.
 ///
 /// # Errors
 ///
-/// Propagates the first [`run_faulted_fleet`] failure in grid order.
+/// The first invalid lane, or the first failed (run × stack) task of the
+/// earliest failing segment, in grid order.
 pub fn run_faults_sweep(
     stacks: &[StackSpec],
     options: &FaultsSweepOptions,
@@ -1164,31 +1074,45 @@ pub fn run_faults_sweep(
             options.fleet.config.nz,
         )
         .total_duration_seconds();
-    let units: Vec<(FaultScenario, bool)> = options
+    // One faulted lane per (scenario, aware/oblivious) run, each its own
+    // dedup group: a faulted segment 0 already depends on the schedule and
+    // the controller, so no two lanes share it.
+    let lanes: Vec<FleetLane> = options
         .scenarios
         .iter()
-        .flat_map(|&s| [(s, true), (s, false)])
+        .flat_map(|&scenario| [(scenario, true), (scenario, false)])
+        .enumerate()
+        .map(|(dedup_group, (scenario, aware))| FleetLane {
+            options: options.fleet.clone(),
+            plant: LanePlant::Faulted {
+                schedule: scenario.schedule(horizon, stacks.len(), options.seed),
+                aware,
+            },
+            dedup_group,
+        })
         .collect();
-    let (outcomes, workers, wall) = run_variant_sweep(
-        &units,
-        options.fleet.mode.resolved_workers(),
-        |&(scenario, aware)| {
-            let side = if aware { "aware" } else { "oblivious" };
-            format!("{} ({side})", scenario.label())
-        },
-        |&(scenario, aware)| {
-            let schedule = scenario.schedule(horizon, stacks.len(), options.seed);
-            run_faulted_fleet(stacks, &options.fleet, &schedule, aware)
-        },
-    )?;
+    let start = Instant::now();
+    let lane_outcomes = run_fleet_lanes(stacks, &lanes)?;
+    let wall = start.elapsed();
+    let workers = lane_outcomes[0].0.workers;
+    let mut outcomes = lanes
+        .iter()
+        .zip(lane_outcomes)
+        .map(|(lane, (outcome, degraded))| {
+            let aware = matches!(lane.plant, LanePlant::Faulted { aware: true, .. });
+            FaultedFleetOutcome::from_lane(aware, outcome, degraded)
+        });
     let rows = options
         .scenarios
         .iter()
-        .zip(outcomes.chunks(2))
-        .map(|(&scenario, pair)| FaultsRow {
-            scenario,
-            aware: pair[0].clone(),
-            oblivious: pair[1].clone(),
+        .map(|&scenario| {
+            let aware = outcomes.next().expect("an aware lane per scenario");
+            let oblivious = outcomes.next().expect("an oblivious lane per scenario");
+            FaultsRow {
+                scenario,
+                aware,
+                oblivious,
+            }
         })
         .collect();
     Ok(FaultsReport {
@@ -1487,6 +1411,64 @@ mod tests {
             serial.rows[0].aware_worst_gradient_k()
         );
         assert_eq!(serial.to_table().len(), 2);
+    }
+
+    #[test]
+    fn faulted_fleet_is_bitwise_identical_at_any_worker_count() {
+        // Faulted stacks fan out per segment like healthy ones; the fault
+        // seam runs between wavefronts, so nothing may move with the worker
+        // count — not even the order of the degraded events.
+        let stacks = two_stacks();
+        let schedule = FaultSchedule {
+            seed: 3,
+            events: vec![
+                FaultEvent::PumpRamp {
+                    start_seconds: 0.0,
+                    end_seconds: 0.0,
+                    final_factor: 0.4,
+                },
+                FaultEvent::StuckValve {
+                    stack: 0,
+                    from_seconds: 0.0,
+                },
+                FaultEvent::FeedbackNoise { amplitude_k: 0.1 },
+            ],
+        };
+        let run = |workers: usize| {
+            let options = FleetOptions {
+                mode: ExecutionMode::Parallel {
+                    workers: std::num::NonZeroUsize::new(workers),
+                },
+                ..tiny_options(2)
+            };
+            run_faulted_fleet(&stacks, &options, &schedule, true).unwrap()
+        };
+        let serial = run(1);
+        assert!(!serial.degraded.is_empty());
+        for workers in [2, 4] {
+            let parallel = run(workers);
+            assert_eq!(serial.stacks, parallel.stacks, "workers = {workers}");
+            assert_eq!(serial.allocations, parallel.allocations);
+            assert_eq!(serial.degraded, parallel.degraded);
+        }
+    }
+
+    #[test]
+    fn healthy_aware_run_is_the_fleet_run_bitwise() {
+        // The seam adds nothing on a healthy schedule: a fault-aware run
+        // allocates and steps exactly like the healthy fleet.
+        let stacks = two_stacks();
+        let options = FleetOptions {
+            allocation: crate::fleet::BudgetPolicy::GradientWaterfill,
+            segments_per_phase: 2,
+            ..tiny_options(2)
+        };
+        let faulted =
+            run_faulted_fleet(&stacks, &options, &FaultSchedule::healthy(), true).unwrap();
+        let healthy = crate::fleet::run_fleet(&stacks, &options).unwrap();
+        assert_eq!(faulted.stacks, healthy.stacks);
+        assert_eq!(faulted.allocations, healthy.allocations);
+        assert!(faulted.degraded.is_empty());
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub enum BudgetPolicy {
     /// no gradient (idle) stay at the minimum unless the budget cannot be
     /// spent elsewhere.
     GradientWaterfill,
-    /// Hottest-first: stacks sorted by measured gradient (ties broken by
-    /// index) each grab the valve maximum until only the minima of the
-    /// remaining stacks are affordable. The bang-bang contrast case to
-    /// [`BudgetPolicy::GradientWaterfill`]'s proportional split.
-    Greedy,
     /// One-step model-predictive water-filling: instead of pouring on the
     /// *trailing* measured gradients, pour on the gradients each stack is
     /// predicted to show over the **next** segment. The prediction
@@ -52,7 +47,6 @@ impl BudgetPolicy {
         vec![
             BudgetPolicy::Uniform,
             BudgetPolicy::GradientWaterfill,
-            BudgetPolicy::Greedy,
             BudgetPolicy::Predictive,
         ]
     }
@@ -63,7 +57,6 @@ impl BudgetPolicy {
         match self {
             BudgetPolicy::Uniform => "uniform",
             BudgetPolicy::GradientWaterfill => "waterfill",
-            BudgetPolicy::Greedy => "greedy",
             BudgetPolicy::Predictive => "predictive",
         }
     }
@@ -436,7 +429,6 @@ pub fn allocate_with(
     let shares = match policy {
         BudgetPolicy::Uniform => vec![budget.uniform_share(n); n],
         BudgetPolicy::GradientWaterfill => waterfill(budget, gradients_k),
-        BudgetPolicy::Greedy => greedy(budget, gradients_k),
         BudgetPolicy::Predictive => predictive(budget, gradients_k, context),
     };
     Ok(shares)
@@ -580,36 +572,6 @@ fn waterfill(budget: &PumpBudget, gradients_k: &[f64]) -> Vec<f64> {
             }
             idle.retain(|i| !filled.contains(i));
         }
-    }
-    alloc
-}
-
-/// Hottest-first: in gradient order (descending, index-stable), every
-/// stack takes the valve maximum while the remaining stacks' minima stay
-/// affordable, then whatever is left; the tail gets the minimum.
-fn greedy(budget: &PumpBudget, gradients_k: &[f64]) -> Vec<f64> {
-    let n = gradients_k.len();
-    // The same clamp waterfill applies: unphysical negative measurements
-    // count as zero, per the `allocate` contract.
-    let g: Vec<f64> = gradients_k.iter().map(|&x| x.max(0.0)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    // Descending by gradient; equal gradients keep index order, so the
-    // allocation is deterministic whatever produced the measurements.
-    order.sort_by(|&a, &b| {
-        g[b].partial_cmp(&g[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut alloc = vec![budget.min_scale; n];
-    let mut remaining = budget.total_scale;
-    let mut left = n;
-    for &i in &order {
-        // The most this stack can take while every later stack still gets
-        // its minimum share.
-        let affordable = remaining - (left - 1) as f64 * budget.min_scale;
-        alloc[i] = affordable.clamp(budget.min_scale, budget.max_scale);
-        remaining -= alloc[i];
-        left -= 1;
     }
     alloc
 }
@@ -765,43 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn greedy_is_hottest_first_bang_bang() {
-        let b = budget3();
-        let alloc = allocate_checked(BudgetPolicy::Greedy, &b, &[1.0, 10.0, 5.0]);
-        // Hottest (index 1) grabs the max; the next (index 2) takes what is
-        // affordable over the coldest's minimum; the coldest gets the min.
-        assert!((alloc[1] - b.max_scale).abs() < 1e-12, "{alloc:?}");
-        assert!((alloc[0] - b.min_scale).abs() < 1e-12, "{alloc:?}");
-        // Ties resolve by index, deterministically.
-        let tied = allocate_checked(BudgetPolicy::Greedy, &b, &[7.0, 7.0, 7.0]);
-        assert!((tied[0] - b.max_scale).abs() < 1e-12, "{tied:?}");
-        assert!((tied[2] - b.min_scale).abs() < 1e-12, "{tied:?}");
-    }
-
-    #[test]
-    fn greedy_clamps_negative_measurements_to_zero() {
-        // Under the clamp contract, -2.0 and -1.0 both count as 0: the tie
-        // resolves by index, so stack 0 (not the "less negative" stack 1)
-        // takes the valve maximum.
-        let b = budget3();
-        let alloc = allocate_checked(BudgetPolicy::Greedy, &b, &[-2.0, -1.0, 5.0]);
-        assert!((alloc[2] - b.max_scale).abs() < 1e-12, "{alloc:?}");
-        assert!(alloc[0] >= alloc[1], "{alloc:?}");
-    }
-
-    #[test]
-    fn greedy_with_all_negative_gradients_is_an_indexed_split() {
-        // Every measurement clamps to zero, so greedy degenerates to the
-        // pure index order: stack 0 takes the valve maximum, the tail gets
-        // what stays affordable — still summing to the budget inside the
-        // band (the edge case the clamp contract previously left untested).
-        let b = budget3();
-        let alloc = allocate_checked(BudgetPolicy::Greedy, &b, &[-5.0, -0.5, -100.0]);
-        assert!((alloc[0] - b.max_scale).abs() < 1e-12, "{alloc:?}");
-        assert!((alloc[2] - b.min_scale).abs() < 1e-12, "{alloc:?}");
-    }
-
-    #[test]
     fn non_finite_gradients_are_rejected() {
         assert!(allocate(
             BudgetPolicy::GradientWaterfill,
@@ -809,7 +734,12 @@ mod tests {
             &[1.0, f64::NAN, 0.0]
         )
         .is_err());
-        assert!(allocate(BudgetPolicy::Greedy, &budget3(), &[f64::INFINITY, 0.0, 0.0]).is_err());
+        assert!(allocate(
+            BudgetPolicy::Uniform,
+            &budget3(),
+            &[f64::INFINITY, 0.0, 0.0]
+        )
+        .is_err());
         assert!(allocate(BudgetPolicy::Predictive, &budget3(), &[f64::NAN, 0.0, 0.0]).is_err());
     }
 

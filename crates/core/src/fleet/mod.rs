@@ -23,11 +23,10 @@
 //! * [`allocate`] splits a [`PumpBudget`] (flow-scale units) across the
 //!   fleet by a [`BudgetPolicy`]: `Uniform` (the static baseline),
 //!   `GradientWaterfill` (water-filling on each stack's measured
-//!   time-peak inter-layer gradient), `Greedy` (hottest-first bang-bang)
-//!   or `Predictive` (one-step MPC — water-filling on *predicted*
-//!   next-segment gradients, composed from a power-trace forecast and a
-//!   recursively refit [`SurrogateModel`]; [`allocate_with`] carries the
-//!   [`PredictiveContext`]).
+//!   time-peak inter-layer gradient) or `Predictive` (one-step MPC —
+//!   water-filling on *predicted* next-segment gradients, composed from
+//!   a power-trace forecast and a recursively refit [`SurrogateModel`];
+//!   [`allocate_with`] carries the [`PredictiveContext`]).
 //! * [`run_fleet`] cuts every stack's trace into aligned reallocation
 //!   segments, fans the stacks' modulation-loop segments across worker
 //!   threads (the shared [`crate::sweep`] scheduler), carries each
@@ -36,7 +35,12 @@
 //!   gradients back to the allocator — which for `Predictive` also
 //!   refits the surrogate and reads the next segment's power from the
 //!   materialized trace — parallel and serial runs bitwise identical.
-//! * [`run_fleet_sweep`] ladders pump budgets and runs the four-policy
+//! * The same wavefront scheduler is the workspace's one fleet segment
+//!   loop: a lane's *plant seam* is healthy or faulted, so
+//!   [`crate::faults::run_faulted_fleet`] and the faults sweep run as
+//!   faulted lanes, and one segment runner serves the fleet tasks and the
+//!   [`crate::serve`] pool's sessions alike.
+//! * [`run_fleet_sweep`] ladders pump budgets and runs the three-policy
 //!   head-to-head per variant; the bench `sweep -- fleet` mode gates on
 //!   waterfill strictly beating uniform allocation *and* predictive
 //!   strictly beating waterfill on the worst stack's time-peak gradient.
@@ -58,4 +62,4 @@ pub use shard::{
     StackSpec,
 };
 
-pub(crate) use shard::segment_traces;
+pub(crate) use shard::{push_segment_channels, run_fleet_lanes, run_segment, FleetLane, LanePlant};

@@ -2,7 +2,7 @@
 //! head-to-heads.
 //!
 //! One variant = one fleet at one pump budget, evaluated under **all
-//! four** [`BudgetPolicy`]s on identical traces; a [`FleetRow`] records
+//! three** [`BudgetPolicy`]s on identical traces; a [`FleetRow`] records
 //! the head-to-head on the worst stack's time-peak inter-layer gradient.
 //! The bench `sweep -- fleet` mode gates on
 //! [`BudgetPolicy::GradientWaterfill`] strictly beating
@@ -10,7 +10,8 @@
 //! beating [`BudgetPolicy::GradientWaterfill`] in every row.
 
 use super::allocator::{BudgetPolicy, PumpBudget};
-use super::shard::{run_fleet_lanes, FleetLane, FleetOptions, FleetOutcome, StackSpec};
+use super::shard::{run_fleet_lanes, FleetLane, FleetOptions, FleetOutcome, LanePlant, StackSpec};
+use crate::faults::DegradedEvent;
 use crate::mpsoc::{ArchSpec, MpsocConfig, MpsocTraceSpec};
 use crate::sweep::ExecutionMode;
 use crate::transient::EpochPolicy;
@@ -134,7 +135,7 @@ impl FleetSweepOptions {
     }
 }
 
-/// The four-policy head-to-head of one fleet variant, on the worst
+/// The three-policy head-to-head of one fleet variant, on the worst
 /// stack's time-peak inter-layer gradient.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRow {
@@ -146,16 +147,11 @@ pub struct FleetRow {
     /// Worst-stack time-peak gradient under
     /// [`BudgetPolicy::GradientWaterfill`], kelvin.
     pub worst_gradient_waterfill_k: f64,
-    /// Worst-stack time-peak gradient under [`BudgetPolicy::Greedy`],
-    /// kelvin.
-    pub worst_gradient_greedy_k: f64,
     /// Worst-stack time-peak gradient under [`BudgetPolicy::Predictive`],
     /// kelvin.
     pub worst_gradient_predictive_k: f64,
     /// Waterfill's reduction vs uniform, as a signed fraction.
     pub waterfill_reduction: f64,
-    /// Greedy's reduction vs uniform, as a signed fraction.
-    pub greedy_reduction: f64,
     /// Predictive's reduction vs uniform, as a signed fraction.
     pub predictive_reduction: f64,
     /// Predictive's margin over waterfill —
@@ -208,10 +204,8 @@ impl FleetReport {
             "variant",
             "worst grad uniform [K]",
             "worst grad waterfill [K]",
-            "worst grad greedy [K]",
             "worst grad predictive [K]",
             "waterfill red. [%]",
-            "greedy red. [%]",
             "predictive red. [%]",
             "pred. margin [%]",
             "peak T waterfill [K]",
@@ -224,10 +218,8 @@ impl FleetReport {
                 row.variant.label(),
                 format!("{:.3}", row.worst_gradient_uniform_k),
                 format!("{:.3}", row.worst_gradient_waterfill_k),
-                format!("{:.3}", row.worst_gradient_greedy_k),
                 format!("{:.3}", row.worst_gradient_predictive_k),
                 format!("{:.1}", row.waterfill_reduction * 100.0),
-                format!("{:.1}", row.greedy_reduction * 100.0),
                 format!("{:.1}", row.predictive_reduction * 100.0),
                 format!("{:.2}", row.predictive_margin * 100.0),
                 format!("{:.2}", row.peak_temperature_waterfill_k),
@@ -248,20 +240,19 @@ impl FleetReport {
     }
 }
 
-/// The fixed policy order every variant's lane quad uses.
-const POLICIES: [BudgetPolicy; 4] = [
+/// The fixed policy order every variant's lane triple uses.
+const POLICIES: [BudgetPolicy; 3] = [
     BudgetPolicy::Uniform,
     BudgetPolicy::GradientWaterfill,
-    BudgetPolicy::Greedy,
     BudgetPolicy::Predictive,
 ];
 
-/// Expands one variant into its four policy lanes. All four share the
+/// Expands one variant into its three policy lanes. All three share the
 /// variant's index as deduplication group: segment 0 is
 /// policy-independent (uniform split, no carry-over — the predictive
 /// lane's surrogate has seen nothing yet and its allocator only runs at
 /// later boundaries), so the scheduler runs it once per variant instead
-/// of four times.
+/// of three times.
 fn variant_lanes(
     variant: &FleetVariant,
     stacks: &[StackSpec],
@@ -280,15 +271,16 @@ fn variant_lanes(
                 segments_per_phase: options.segments_per_phase,
                 mode: options.mode,
             },
+            plant: LanePlant::Healthy,
             dedup_group: variant.index,
         })
         .collect()
 }
 
-/// Folds one variant's four policy outcomes (in [`POLICIES`] order) into
+/// Folds one variant's three policy outcomes (in [`POLICIES`] order) into
 /// its head-to-head row.
-fn build_row(variant: &FleetVariant, outcomes: &[FleetOutcome]) -> FleetRow {
-    let [uniform, waterfill, greedy, predictive] = outcomes else {
+fn build_row(variant: &FleetVariant, outcomes: &[(FleetOutcome, Vec<DegradedEvent>)]) -> FleetRow {
+    let [(uniform, _), (waterfill, _), (predictive, _)] = outcomes else {
         unreachable!("one outcome per policy lane");
     };
     let worst_uniform = uniform.worst_stack_peak_gradient_k();
@@ -306,10 +298,8 @@ fn build_row(variant: &FleetVariant, outcomes: &[FleetOutcome]) -> FleetRow {
         variant: variant.clone(),
         worst_gradient_uniform_k: worst_uniform,
         worst_gradient_waterfill_k: worst_waterfill,
-        worst_gradient_greedy_k: greedy.worst_stack_peak_gradient_k(),
         worst_gradient_predictive_k: worst_predictive,
         waterfill_reduction: reduction(worst_waterfill),
-        greedy_reduction: reduction(greedy.worst_stack_peak_gradient_k()),
         predictive_reduction: reduction(worst_predictive),
         predictive_margin: if worst_waterfill > 0.0 {
             (worst_waterfill - worst_predictive) / worst_waterfill
@@ -326,13 +316,13 @@ fn build_row(variant: &FleetVariant, outcomes: &[FleetOutcome]) -> FleetRow {
     }
 }
 
-/// Evaluates one fleet variant: the same fleet and traces under all four
+/// Evaluates one fleet variant: the same fleet and traces under all three
 /// budget policies, head-to-head.
 ///
-/// The four policy runs are scheduled as one four-lane wavefront group
+/// The three policy runs are scheduled as one three-lane wavefront group
 /// — every segment's (policy × stack) tasks share one worker fan-out, and
-/// the policy-independent segment 0 runs once instead of four times. The
-/// resulting metrics are bitwise identical to four back-to-back
+/// the policy-independent segment 0 runs once instead of three times. The
+/// resulting metrics are bitwise identical to three back-to-back
 /// [`run_fleet`](super::run_fleet) calls.
 ///
 /// # Errors
@@ -383,9 +373,9 @@ pub fn run_fleet_sweep(grid: &FleetGrid, options: &FleetSweepOptions) -> Result<
         .collect();
     Ok(FleetReport {
         rows,
-        workers: outcomes[0].workers,
+        workers: outcomes[0].0.workers,
         wall: start.elapsed(),
-        segment_wall_seconds: outcomes[0].segment_wall_seconds.clone(),
+        segment_wall_seconds: outcomes[0].0.segment_wall_seconds.clone(),
     })
 }
 

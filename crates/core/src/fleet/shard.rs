@@ -5,13 +5,17 @@ use super::allocator::{
     allocate, allocate_with, forecast_is_informative, BudgetPolicy, PredictiveContext, PumpBudget,
     SurrogateModel,
 };
-use crate::mpsoc::{ArchSpec, MpsocModulated, MpsocTraceSpec};
+use crate::faults::{DegradedEvent, FaultSchedule, SegmentFaults};
+use crate::mpsoc::{ArchSpec, MpsocConfig, MpsocModulated, MpsocTrace, MpsocTraceSpec};
 use crate::obs;
-use crate::sweep::{catch_unit, parallel_map, ExecutionMode};
-use crate::transient::{EpochPolicy, ModulationPolicy, ResumeState};
-use crate::{mpsoc::MpsocConfig, CoreError, CsvTable, Result};
+use crate::sweep::{parallel_map, ExecutionMode};
+use crate::transient::{
+    EpochPolicy, GoldenChannel, ModulationPolicy, ResumeState, TransientOutcome,
+};
+use crate::{CoreError, CsvTable, Result};
 use liquamod_floorplan::arch::Architecture;
 use liquamod_floorplan::trace::{Phase, PowerTrace};
+use liquamod_grid_sim::snapshot as snap;
 use std::time::{Duration, Instant};
 
 /// One stack of a fleet: a Fig. 7 architecture with its own workload
@@ -74,6 +78,11 @@ impl FleetOptions {
             segments_per_phase: 2,
             mode,
         }
+    }
+
+    /// Duration of one reallocation segment, seconds.
+    pub(crate) fn segment_seconds(&self) -> f64 {
+        self.phase_seconds / self.segments_per_phase as f64
     }
 }
 
@@ -271,58 +280,49 @@ impl FleetOutcome {
     /// parsed by the same comparer at 1e-9.
     #[must_use]
     pub fn golden_json(&self, scenario: &str) -> String {
-        fn num_array(values: impl Iterator<Item = f64>) -> String {
-            let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-            format!("[{}]", items.join(", "))
-        }
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", self.allocation.label()));
-        let allocations: Vec<String> = self
-            .allocations
-            .iter()
-            .map(|a| num_array(a.iter().copied()))
-            .collect();
-        out.push_str(&format!(
-            "  \"allocations\": [{}],\n",
-            allocations.join(", ")
-        ));
-        let per_stack = |f: &dyn Fn(&SegmentMetrics) -> f64| -> String {
-            let rows: Vec<String> = self
-                .stacks
-                .iter()
-                .map(|s| num_array(s.segments.iter().map(f)))
-                .collect();
-            format!("[{}]", rows.join(", "))
-        };
-        out.push_str(&format!(
-            "  \"segment_gradient_k\": {},\n",
-            per_stack(&|m| m.peak_gradient_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_temperature_k\": {},\n",
-            per_stack(&|m| m.peak_temperature_k)
-        ));
-        out.push_str(&format!(
-            "  \"segment_evaluations\": {},\n",
-            per_stack(&|m| m.evaluations as f64)
-        ));
+        let mut out = format!(
+            "{{\n  \"schema_version\": 1,\n  \"scenario\": \"{scenario}\",\n  \"policy\": \"{}\",\n",
+            self.allocation.label()
+        );
+        push_segment_channels(&mut out, &self.allocations, &self.stacks);
         let diag = self.predictive.unwrap_or_default();
-        out.push_str(&format!(
-            "  \"forecast_hits\": {:e},\n",
-            diag.forecast_hits as f64
-        ));
-        out.push_str(&format!(
-            "  \"surrogate_refits\": {:e},\n",
-            diag.surrogate_refits as f64
-        ));
-        out.push_str(&format!(
-            "  \"worst_gradient_k\": {:e}\n",
-            self.worst_stack_peak_gradient_k()
-        ));
+        snap::push_scalar(&mut out, "forecast_hits", diag.forecast_hits as f64, false);
+        snap::push_scalar(
+            &mut out,
+            "surrogate_refits",
+            diag.surrogate_refits as f64,
+            false,
+        );
+        let worst = self.worst_stack_peak_gradient_k();
+        snap::push_scalar(&mut out, "worst_gradient_k", worst, true);
         out.push_str("}\n");
         out
+    }
+}
+
+/// Appends the channels the fleet and faults golden fixtures share — the
+/// per-segment allocations and each stack's per-segment gradient,
+/// temperature and evaluation count — to a document under construction.
+pub(crate) fn push_segment_channels(
+    out: &mut String,
+    allocations: &[Vec<f64>],
+    stacks: &[StackRun],
+) {
+    let rows = |rows: Vec<String>| format!("[{}]", rows.join(", "));
+    let shares = allocations
+        .iter()
+        .map(|a| snap::render_array(a.iter().copied()));
+    out.push_str(&format!("  \"allocations\": {},\n", rows(shares.collect())));
+    let channels: [GoldenChannel<SegmentMetrics>; 3] = [
+        ("segment_gradient_k", |m| m.peak_gradient_k),
+        ("segment_temperature_k", |m| m.peak_temperature_k),
+        ("segment_evaluations", |m| m.evaluations as f64),
+    ];
+    for (key, metric) in channels {
+        let per_stack = stacks
+            .iter()
+            .map(|s| snap::render_array(s.segments.iter().map(metric)));
+        out.push_str(&format!("  \"{key}\": {},\n", rows(per_stack.collect())));
     }
 }
 
@@ -340,7 +340,7 @@ pub(crate) fn resolved_fleet_workers(mode: ExecutionMode, n_stacks: usize) -> us
 
 /// Cuts one stack's trace into `segments_per_phase` equal segments per
 /// phase, each a single-phase trace of its own.
-pub(crate) fn segment_traces(
+fn segment_traces(
     trace: &PowerTrace<crate::mpsoc::MpsocLoad>,
     per_phase: usize,
 ) -> Vec<PowerTrace<crate::mpsoc::MpsocLoad>> {
@@ -413,71 +413,177 @@ fn forecast_power_ratio(
 /// count; stack-level model/optimizer/stepper failures propagate (first
 /// stack in spec order wins).
 pub fn run_fleet(stacks: &[StackSpec], options: &FleetOptions) -> Result<FleetOutcome> {
-    let lanes = vec![FleetLane {
+    let lane = FleetLane {
         options: options.clone(),
+        plant: LanePlant::Healthy,
         dedup_group: 0,
-    }];
-    let mut outcomes = run_fleet_lanes(stacks, &lanes)?;
-    Ok(outcomes.pop().expect("one lane in, one outcome out"))
+    };
+    let (outcome, _) = run_fleet_lanes(stacks, &[lane])?
+        .pop()
+        .expect("one lane in, one outcome out");
+    Ok(outcome)
 }
 
-/// One lane of a multi-lane fleet evaluation: a full fleet run's options
-/// plus the segment-0 deduplication group it belongs to.
+/// The plant seam of a [`FleetLane`]: what its stacks physically run
+/// through, and so how the lane turns measured gradients into the next
+/// segment's flow shares.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum LanePlant {
+    /// The healthy plant: segment 0 runs the uniform split, later segments
+    /// [`FleetOptions::allocation`] on the measured gradients — with the
+    /// power forecast and the sensitivity surrogate under
+    /// [`BudgetPolicy::Predictive`].
+    Healthy,
+    /// A plant under a [`FaultSchedule`], run by the fault-aware
+    /// controller or the fault-oblivious baseline (see
+    /// [`crate::faults::run_faulted_fleet`]). The allocator never gets a
+    /// predictive context here.
+    Faulted {
+        /// What goes wrong, and when.
+        schedule: FaultSchedule,
+        /// Whether the controller sees the faults.
+        aware: bool,
+    },
+}
+
+/// One lane of a multi-lane fleet evaluation: a full fleet run's options,
+/// its plant, and the segment-0 deduplication group it belongs to.
 #[derive(Debug, Clone)]
 pub(crate) struct FleetLane {
     /// The lane's full fleet-run configuration.
     pub options: FleetOptions,
-    /// Lanes sharing a group id must differ **only** in
-    /// [`FleetOptions::allocation`] (checked). The allocation policy cannot
-    /// influence segment 0 — nothing is measured yet, so every policy
-    /// starts from the same uniform split with no carry-over — which makes
-    /// the group's segment-0 (stack × lane) tasks bitwise identical. The
-    /// scheduler therefore runs them once, on the group's first lane, and
-    /// shares the result; the reported metrics (including evaluation
-    /// counts) are exactly what each lane would have measured alone.
+    /// What the lane's stacks run through.
+    pub plant: LanePlant,
+    /// Lanes sharing a group id must be [`LanePlant::Healthy`] and differ
+    /// **only** in [`FleetOptions::allocation`] (checked). The allocation
+    /// policy cannot influence a healthy segment 0 — nothing is measured
+    /// yet, so every policy starts from the same uniform split with no
+    /// carry-over — which makes the group's segment-0 (stack × lane) tasks
+    /// bitwise identical. The scheduler therefore runs them once, on the
+    /// group's first lane, and shares the result; the reported metrics
+    /// (including evaluation counts) are exactly what each lane would have
+    /// measured alone.
     pub dedup_group: usize,
 }
 
+impl FleetLane {
+    /// Whether the lane runs the predictive allocator with its forecast and
+    /// surrogate: a healthy lane under [`BudgetPolicy::Predictive`].
+    fn is_predictive(&self) -> bool {
+        self.options.allocation == BudgetPolicy::Predictive && self.plant == LanePlant::Healthy
+    }
+}
+
+/// One stack's controller run over one segment: the unit of work the fleet
+/// wavefront and the serve pool both fan out. Builds the stack family for
+/// `arch` at `config` (already at the granted flow share) and runs
+/// `trace` from `resume` through
+/// [`ModulationController::run_faulted`](crate::transient::ModulationController::run_faulted)
+/// under `faults`.
+///
+/// The plant override comes from `faults`: an inlet excursion the
+/// controller does not know about heats only the stepped plant, while the
+/// controller keeps optimizing against the nominal inlet. A known (or
+/// zero) excursion is the controller's belief too. With default faults
+/// this is [`ModulationController::run_resumed`](crate::transient::ModulationController::run_resumed)
+/// bitwise.
+pub(crate) fn run_segment(
+    arch: &Architecture,
+    config: &MpsocConfig,
+    policy: ModulationPolicy,
+    faults: &SegmentFaults,
+    trace: &MpsocTrace,
+    resume: Option<ResumeState>,
+) -> Result<(TransientOutcome, ResumeState)> {
+    let plant_config = config.with_inlet_offset(faults.inlet_delta_k)?;
+    if faults.inlet_known || faults.inlet_delta_k == 0.0 {
+        MpsocModulated::for_arch(arch, plant_config)?
+            .controller(policy)?
+            .run_faulted(trace, resume, faults, None)
+    } else {
+        let plant = MpsocModulated::for_arch(arch, plant_config)?;
+        MpsocModulated::for_arch(arch, config.clone())?
+            .controller(policy)?
+            .run_faulted(trace, resume, faults, Some(&plant))
+    }
+}
+
+/// One lane's running state between wavefronts. Everything here is read
+/// and written only in the serial joins on the calling thread, so it
+/// inherits the bitwise parallel == serial guarantee for free.
+struct LaneState {
+    /// The flow shares of the segment about to run.
+    shares: Vec<f64>,
+    /// Per-stack thermal handover into the next segment.
+    carries: Vec<Option<ResumeState>>,
+    /// Per-stack segment metrics so far.
+    segments: Vec<Vec<SegmentMetrics>>,
+    /// The shares every segment so far ran at.
+    allocations: Vec<Vec<f64>>,
+    /// The predictive allocator's sensitivity surrogate.
+    surrogate: SurrogateModel,
+    /// Boundaries where the power forecast was informative.
+    forecast_hits: u64,
+    /// A faulted aware lane's last good gradient feedback per stack.
+    last_feedback: Vec<f64>,
+    /// Degraded-mode events, in the order they surfaced.
+    degraded: Vec<DegradedEvent>,
+}
+
 /// The wavefront scheduler behind [`run_fleet`],
+/// [`crate::faults::run_faulted_fleet`], [`crate::faults::run_faults_sweep`],
 /// [`super::report::evaluate_fleet_variant`] and
-/// [`super::report::run_fleet_sweep`]: all lanes advance through
-/// reallocation segment `k` together, and every (lane × stack) task of
-/// wavefront `k` goes through **one** shared [`parallel_map`] fan-out, so
-/// worker threads drain the whole front instead of idling behind the
-/// slowest stack of a single fleet run.
+/// [`super::report::run_fleet_sweep`] — the workspace's one fleet segment
+/// loop. All lanes advance through reallocation segment `k` together, and
+/// every (lane × stack) task of wavefront `k` goes through **one** shared
+/// [`parallel_map`] fan-out, so worker threads drain the whole front
+/// instead of idling behind the slowest stack of a single fleet run.
 ///
 /// The serial joins (metric collection, the allocator's budget re-split)
 /// run between wavefronts on the calling thread, per lane in lane order,
 /// from deterministic inputs; task results are merged back by index.
 /// Parallel and serial evaluations are therefore bitwise identical, and so
 /// is any worker count — the scheduling only decides *when* a task runs,
-/// never *what* it computes.
+/// never *what* it computes. Each lane's outcome comes with its
+/// degraded-mode events (always empty for a healthy lane).
 ///
 /// [`parallel_map`]: crate::sweep
 pub(crate) fn run_fleet_lanes(
     stacks: &[StackSpec],
     lanes: &[FleetLane],
-) -> Result<Vec<FleetOutcome>> {
+) -> Result<Vec<(FleetOutcome, Vec<DegradedEvent>)>> {
     let n = stacks.len();
     let n_lanes = lanes.len();
-    if n_lanes == 0 {
+    if n_lanes == 0 || n == 0 {
         return Err(CoreError::InvalidConfig {
-            what: "a fleet evaluation needs at least one lane".into(),
+            what: "a fleet evaluation needs at least one lane and one stack".into(),
         });
     }
-    // Group representatives (first lane of each group, in lane order) and
-    // the group-compatibility contract: everything but the allocation
-    // policy must match, or the segment-0 sharing below would be wrong.
-    let mut group_rep: Vec<(usize, usize)> = Vec::new();
+    // Each lane's dedup-group representative (the group's first lane) and
+    // the group-compatibility contract: healthy lanes alike in everything
+    // but the allocation policy, or the segment-0 sharing below would be
+    // wrong.
+    let rep: Vec<usize> = lanes
+        .iter()
+        .map(|lane| {
+            lanes
+                .iter()
+                .position(|other| other.dedup_group == lane.dedup_group)
+                .expect("a lane is in its own group")
+        })
+        .collect();
     for (l, lane) in lanes.iter().enumerate() {
         let options = &lane.options;
+        if let LanePlant::Faulted { schedule, .. } = &lane.plant {
+            schedule.validate(n)?;
+        }
         options.budget.validate(n)?;
         if options.segments_per_phase == 0 {
             return Err(CoreError::InvalidConfig {
                 what: "segments_per_phase must be ≥ 1".into(),
             });
         }
-        let seg_seconds = options.phase_seconds / options.segments_per_phase as f64;
+        let seg_seconds = options.segment_seconds();
         if !(seg_seconds.is_finite() && seg_seconds >= options.config.dt_seconds) {
             return Err(CoreError::InvalidConfig {
                 what: format!(
@@ -486,30 +592,22 @@ pub(crate) fn run_fleet_lanes(
                 ),
             });
         }
-        match group_rep.iter().find(|(g, _)| *g == lane.dedup_group) {
-            None => group_rep.push((lane.dedup_group, l)),
-            Some(&(_, rep)) => {
-                let mut normalized = options.clone();
-                normalized.allocation = lanes[rep].options.allocation;
-                if normalized != lanes[rep].options {
-                    return Err(CoreError::InvalidConfig {
-                        what: format!(
-                            "lanes {rep} and {l} share dedup group {} but differ beyond \
-                             the allocation policy",
-                            lane.dedup_group
-                        ),
-                    });
-                }
-            }
+        let first = &lanes[rep[l]];
+        let normalized = FleetOptions {
+            allocation: first.options.allocation,
+            ..options.clone()
+        };
+        let healthy = lane.plant == LanePlant::Healthy && first.plant == LanePlant::Healthy;
+        if rep[l] != l && (!healthy || normalized != first.options) {
+            return Err(CoreError::InvalidConfig {
+                what: format!(
+                    "lanes {} and {l} share dedup group {} but are not healthy lanes \
+                     differing only in the allocation policy",
+                    rep[l], lane.dedup_group
+                ),
+            });
         }
     }
-    let rep_of = |l: usize| -> usize {
-        group_rep
-            .iter()
-            .find(|(g, _)| *g == lanes[l].dedup_group)
-            .expect("every lane registered its group above")
-            .1
-    };
 
     let archs: Vec<Architecture> = stacks.iter().map(|s| s.arch.architecture()).collect();
     // Per-lane segmented traces (lanes may differ in clocking in general;
@@ -551,56 +649,62 @@ pub(crate) fn run_fleet_lanes(
     let workers = resolved_fleet_workers(lanes[0].options.mode, n_lanes * n);
     let _run_span = obs::span("fleet.run");
     let start = Instant::now();
-    let mut allocations: Vec<Vec<Vec<f64>>> = vec![Vec::with_capacity(n_segments); n_lanes];
-    let mut allocs: Vec<Vec<f64>> = lanes
-        .iter()
-        .map(|lane| allocate(BudgetPolicy::Uniform, &lane.options.budget, &vec![0.0; n]))
-        .collect::<Result<_>>()?;
-    let mut carries: Vec<Vec<Option<ResumeState>>> = vec![vec![None; n]; n_lanes];
-    let mut per_stack: Vec<Vec<Vec<SegmentMetrics>>> =
-        vec![vec![Vec::with_capacity(n_segments); n]; n_lanes];
+    let mut states: Vec<LaneState> = Vec::with_capacity(n_lanes);
+    for lane in lanes {
+        let mut degraded = Vec::new();
+        // Segment 0: nothing is measured yet.
+        let shares = match &lane.plant {
+            LanePlant::Healthy => {
+                allocate(BudgetPolicy::Uniform, &lane.options.budget, &vec![0.0; n])?
+            }
+            LanePlant::Faulted { schedule, aware } => {
+                schedule.segment_shares(*aware, &lane.options, 0, &vec![0.0; n], &mut degraded)?
+            }
+        };
+        states.push(LaneState {
+            shares,
+            carries: vec![None; n],
+            segments: vec![Vec::with_capacity(n_segments); n],
+            allocations: Vec::with_capacity(n_segments),
+            surrogate: SurrogateModel::new(n),
+            forecast_hits: 0,
+            last_feedback: vec![0.0; n],
+            degraded,
+        });
+    }
     let mut segment_walls: Vec<f64> = Vec::with_capacity(n_segments);
-    // Predictive-lane state: the sensitivity surrogate and the count of
-    // forecast-steered boundaries. Both live on the calling thread and are
-    // updated only in the serial between-wavefront joins, so they inherit
-    // the bitwise parallel == serial guarantee for free.
-    let mut surrogates: Vec<SurrogateModel> =
-        lanes.iter().map(|_| SurrogateModel::new(n)).collect();
-    let mut forecast_hits: Vec<u64> = vec![0; n_lanes];
 
-    // Indexing by segment and lane spans several per-lane tables
-    // (`segmented`, `allocs`, `carries`, `per_stack`), so range loops read
-    // clearer than zipped iterators here.
-    #[allow(clippy::needless_range_loop)]
     for seg in 0..n_segments {
         let _wavefront_span = obs::span("fleet.wavefront");
         let seg_start = Instant::now();
         // Stable lane-major task order; at wavefront 0 only each dedup
         // group's representative lane contributes tasks.
         let tasks: Vec<(usize, usize)> = (0..n_lanes)
-            .filter(|&l| seg > 0 || rep_of(l) == l)
+            .filter(|&l| seg > 0 || rep[l] == l)
             .flat_map(|l| (0..n).map(move |i| (l, i)))
             .collect();
         let run_one = |&(l, i): &(usize, usize)| {
             let _span = obs::lane_span("fleet.segment", l as u32);
             obs::add("fleet.segments", 1);
             let lane = &lanes[l];
-            let config = lane.options.config.with_flow_scale(allocs[l][i])?;
-            let family = MpsocModulated::for_arch(&archs[i], config)?;
-            family
-                .controller(ModulationPolicy::Modulated(lane.options.policy))?
-                .run_resumed(&segmented[l][i][seg], carries[l][i].clone())
+            let faults = match &lane.plant {
+                LanePlant::Healthy => SegmentFaults::default(),
+                LanePlant::Faulted { schedule, aware } => {
+                    schedule.segment_faults(*aware, lane.options.segment_seconds(), seg, i)
+                }
+            };
+            run_segment(
+                &archs[i],
+                &lane.options.config.with_flow_scale(states[l].shares[i])?,
+                ModulationPolicy::Modulated(lane.options.policy),
+                &faults,
+                &segmented[l][i][seg],
+                states[l].carries[i].clone(),
+            )
         };
         let task_label =
             |&(l, i): &(usize, usize)| format!("lane {l} {} segment {seg}", stacks[i].label());
-        let results = if workers == 1 {
-            tasks
-                .iter()
-                .map(|t| catch_unit(t, &task_label, &run_one))
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            parallel_map(&tasks, workers, task_label, run_one)?
-        };
+        let results = parallel_map(&tasks, workers, task_label, run_one);
         segment_walls.push(seg_start.elapsed().as_secs_f64());
 
         // Merge task results back by index; a wavefront-0 result fans out
@@ -611,7 +715,7 @@ pub(crate) fn run_fleet_lanes(
             let pair = result?;
             if seg == 0 {
                 for (l2, lane_merged) in merged.iter_mut().enumerate() {
-                    if l2 != l && rep_of(l2) == l {
+                    if l2 != l && rep[l2] == l {
                         obs::add("fleet.dedup_hits", 1);
                         lane_merged[i] = Some(pair.clone());
                     }
@@ -619,94 +723,108 @@ pub(crate) fn run_fleet_lanes(
             }
             merged[l][i] = Some(pair);
         }
-        for (l, lane) in lanes.iter().enumerate() {
-            let mut gradients = Vec::with_capacity(n);
-            for (i, slot) in merged[l].iter_mut().enumerate() {
-                let (outcome, resume) = slot.take().expect("every (lane, stack) task ran");
-                gradients.push(outcome.peak_gradient_k());
-                per_stack[l][i].push(SegmentMetrics {
+        for (l, (state, lane_merged)) in states.iter_mut().zip(merged).enumerate() {
+            let (lane, seg_seconds) = (&lanes[l], lanes[l].options.segment_seconds());
+            let mut measured = Vec::with_capacity(n);
+            for (i, slot) in lane_merged.into_iter().enumerate() {
+                let (outcome, resume) = slot.expect("every (lane, stack) task ran");
+                state
+                    .degraded
+                    .extend(outcome.degraded.iter().map(|event| DegradedEvent {
+                        segment: Some(seg),
+                        stack: Some(i),
+                        time_seconds: seg as f64 * seg_seconds + event.time_seconds,
+                        ..event.clone()
+                    }));
+                measured.push(outcome.peak_gradient_k());
+                state.segments[i].push(SegmentMetrics {
                     segment: seg,
                     phase: segmented[l][i][seg].phases()[0].label.clone(),
-                    flow_scale: allocs[l][i],
+                    flow_scale: state.shares[i],
                     peak_gradient_k: outcome.peak_gradient_k(),
                     peak_temperature_k: outcome.peak_temperature_k(),
                     epochs: outcome.epochs.len(),
                     epochs_adopted: outcome.epochs_adopted(),
                     evaluations: outcome.total_evaluations(),
                 });
-                carries[l][i] = Some(resume);
+                state.carries[i] = Some(resume);
             }
-            let is_predictive = lane.options.allocation == BudgetPolicy::Predictive;
-            if is_predictive {
+            if lane.is_predictive() {
                 // Feed the (shares, measured gradients) pair of the segment
                 // that just ran back into the lane's surrogate.
-                surrogates[l].observe(&allocs[l], &gradients);
+                state.surrogate.observe(&state.shares, &measured);
             }
-            allocations[l].push(std::mem::take(&mut allocs[l]));
-            if seg + 1 < n_segments {
-                let _alloc_span = obs::span("fleet.allocate");
-                allocs[l] = if is_predictive {
-                    let last_shares = allocations[l]
-                        .last()
-                        .expect("the segment's shares were just pushed");
+            state.allocations.push(std::mem::take(&mut state.shares));
+            if seg + 1 == n_segments {
+                continue;
+            }
+            let _alloc_span = obs::span("fleet.allocate");
+            let (policy, budget) = (lane.options.allocation, &lane.options.budget);
+            state.shares = match &lane.plant {
+                LanePlant::Healthy if lane.is_predictive() => {
                     // The trace is materialized, so the next segment's power
                     // is known: a full one-step lookahead per stack.
-                    let ratios: Vec<f64> = (0..n)
-                        .map(|i| {
-                            forecast_power_ratio(&segmented[l][i][seg], &segmented[l][i][seg + 1])
-                        })
+                    let ratios: Vec<f64> = segmented[l]
+                        .iter()
+                        .map(|s| forecast_power_ratio(&s[seg], &s[seg + 1]))
                         .collect();
                     if forecast_is_informative(&ratios) {
-                        forecast_hits[l] += 1;
+                        state.forecast_hits += 1;
                     }
                     let ctx = PredictiveContext {
-                        last_shares,
+                        last_shares: state
+                            .allocations
+                            .last()
+                            .expect("the segment's shares were just pushed"),
                         forecast_ratio: Some(&ratios),
-                        surrogate: &surrogates[l],
+                        surrogate: &state.surrogate,
                     };
-                    allocate_with(
-                        lane.options.allocation,
-                        &lane.options.budget,
-                        &gradients,
-                        Some(&ctx),
-                    )?
-                } else {
-                    allocate(lane.options.allocation, &lane.options.budget, &gradients)?
-                };
-            }
+                    allocate_with(policy, budget, &measured, Some(&ctx))?
+                }
+                LanePlant::Healthy => allocate(policy, budget, &measured)?,
+                LanePlant::Faulted { schedule, aware } => {
+                    // The oblivious baseline ignores its feedback.
+                    let feedback = if *aware {
+                        let last = &mut state.last_feedback;
+                        schedule.feedback(seg_seconds, seg, &measured, last, &mut state.degraded)
+                    } else {
+                        measured
+                    };
+                    let degraded = &mut state.degraded;
+                    schedule.segment_shares(*aware, &lane.options, seg + 1, &feedback, degraded)?
+                }
+            };
         }
     }
 
     let wall = start.elapsed();
     Ok(lanes
         .iter()
-        .enumerate()
-        .zip(per_stack)
-        .zip(allocations)
-        .map(
-            |(((l, lane), lane_stacks), lane_allocations)| FleetOutcome {
+        .zip(states)
+        .map(|(lane, state)| {
+            let predictive = lane.is_predictive().then(|| PredictiveDiagnostics {
+                forecast_hits: state.forecast_hits,
+                surrogate_refits: state.surrogate.refits(),
+                mean_abs_slope_k_per_scale: state.surrogate.mean_abs_slope_k_per_scale(),
+            });
+            let outcome = FleetOutcome {
                 allocation: lane.options.allocation,
                 stacks: stacks
                     .iter()
-                    .zip(lane_stacks)
+                    .zip(state.segments)
                     .map(|(spec, segments)| StackRun {
                         spec: spec.clone(),
                         segments,
                     })
                     .collect(),
-                allocations: lane_allocations,
+                allocations: state.allocations,
                 workers,
                 wall,
                 segment_wall_seconds: segment_walls.clone(),
-                predictive: (lane.options.allocation == BudgetPolicy::Predictive).then(|| {
-                    PredictiveDiagnostics {
-                        forecast_hits: forecast_hits[l],
-                        surrogate_refits: surrogates[l].refits(),
-                        mean_abs_slope_k_per_scale: surrogates[l].mean_abs_slope_k_per_scale(),
-                    }
-                }),
-            },
-        )
+                predictive,
+            };
+            (outcome, state.degraded)
+        })
         .collect())
 }
 
@@ -880,7 +998,7 @@ mod tests {
         let lanes: Vec<FleetLane> = [
             BudgetPolicy::Uniform,
             BudgetPolicy::GradientWaterfill,
-            BudgetPolicy::Greedy,
+            BudgetPolicy::Predictive,
         ]
         .into_iter()
         .map(|allocation| FleetLane {
@@ -888,6 +1006,7 @@ mod tests {
                 allocation,
                 ..base.clone()
             },
+            plant: LanePlant::Healthy,
             dedup_group: 7,
         })
         .collect();
@@ -895,7 +1014,7 @@ mod tests {
         assert_eq!(grouped.len(), 3);
         // Segment-0 sharing must be invisible: every lane's outcome is
         // bitwise what a standalone fleet run of its policy produces.
-        for (lane, outcome) in lanes.iter().zip(&grouped) {
+        for (lane, (outcome, degraded)) in lanes.iter().zip(&grouped) {
             let solo = run_fleet(&stacks, &lane.options).unwrap();
             assert_eq!(
                 outcome.stacks, solo.stacks,
@@ -903,10 +1022,12 @@ mod tests {
                 lane.options.allocation
             );
             assert_eq!(outcome.allocations, solo.allocations);
+            assert_eq!(outcome.predictive, solo.predictive);
+            assert!(degraded.is_empty(), "healthy lanes never degrade");
         }
         assert_eq!(
-            grouped[0].segment_wall_seconds.len(),
-            grouped[0].allocations.len(),
+            grouped[0].0.segment_wall_seconds.len(),
+            grouped[0].0.allocations.len(),
             "one wall sample per wavefront"
         );
     }
@@ -916,23 +1037,38 @@ mod tests {
         let stacks = two_stacks();
         let base = tiny_options(2, ExecutionMode::Serial);
         assert!(run_fleet_lanes(&stacks, &[]).is_err(), "no lanes");
+        let lane = |options: FleetOptions, plant: LanePlant| FleetLane {
+            options,
+            plant,
+            dedup_group: 0,
+        };
         let lanes = vec![
-            FleetLane {
-                options: base.clone(),
-                dedup_group: 0,
-            },
-            FleetLane {
-                options: FleetOptions {
+            lane(base.clone(), LanePlant::Healthy),
+            lane(
+                FleetOptions {
                     policy: EpochPolicy::FixedCadence { epoch_steps: 3 },
-                    allocation: BudgetPolicy::Greedy,
-                    ..base
+                    allocation: BudgetPolicy::Predictive,
+                    ..base.clone()
                 },
-                dedup_group: 0,
-            },
+                LanePlant::Healthy,
+            ),
         ];
         assert!(
             run_fleet_lanes(&stacks, &lanes).is_err(),
             "lanes in one dedup group may differ only in allocation policy"
         );
+        // A faulted segment 0 depends on its schedule and controller, so a
+        // faulted lane never shares it.
+        let faulted = LanePlant::Faulted {
+            schedule: FaultSchedule::healthy(),
+            aware: true,
+        };
+        let lanes = vec![
+            lane(base.clone(), LanePlant::Healthy),
+            lane(base.clone(), faulted.clone()),
+        ];
+        assert!(run_fleet_lanes(&stacks, &lanes).is_err());
+        let lanes = vec![lane(base.clone(), faulted.clone()), lane(base, faulted)];
+        assert!(run_fleet_lanes(&stacks, &lanes).is_err());
     }
 }

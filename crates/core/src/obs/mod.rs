@@ -54,7 +54,7 @@ mod trace;
 
 pub use counters::{add, event, ObsEvent};
 pub use metrics::{LatencyHistogram, PoolMetrics, SessionMetrics};
-pub use report::{ObsReport, SpanRecord};
+pub use report::{json_escape, ObsReport, SpanRecord};
 pub use span::{lane_span, span, SpanGuard};
 
 use span::RawSpan;

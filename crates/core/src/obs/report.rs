@@ -66,8 +66,10 @@ pub(crate) fn resolve(buf: LocalBuf, epoch: Instant) -> ObsReport {
     }
 }
 
-/// Minimal JSON string escaping for event labels/details.
-fn json_escape(s: &str) -> String {
+/// Minimal JSON string escaping: quotes, backslashes and control
+/// characters. Shared by the obs exports and the bench records.
+#[must_use]
+pub fn json_escape(s: &str) -> String {
     s.chars()
         .flat_map(|c| match c {
             '"' => "\\\"".chars().collect::<Vec<_>>(),

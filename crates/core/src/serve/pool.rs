@@ -19,15 +19,16 @@ use std::time::Instant;
 
 use liquamod_floorplan::PowerLevel;
 
-use crate::faults::{DegradedEvent, DegradedKind};
+use crate::faults::{DegradedEvent, DegradedKind, SegmentFaults};
 use crate::fleet::{
-    allocate, allocate_with, BudgetPolicy, PredictiveContext, PumpBudget, SurrogateModel,
+    allocate, allocate_with, run_segment, BudgetPolicy, PredictiveContext, PumpBudget,
+    SurrogateModel,
 };
-use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocModulated, MpsocTrace};
+use crate::mpsoc::{arch_trace, ArchSpec, MpsocConfig, MpsocTrace};
 use crate::obs;
 use crate::serve::metrics::{PoolMetrics, SessionMetrics};
 use crate::serve::session::{ServeSession, SessionSnapshot};
-use crate::sweep::{catch_unit, parallel_map};
+use crate::sweep::parallel_map;
 use crate::transient::{ModulationPolicy, ResumeState, TransientOutcome};
 use crate::{CoreError, Result};
 
@@ -353,10 +354,10 @@ impl ServePool {
     ///
     /// [`CoreError::GridSim`] with
     /// [`InvalidSnapshot`](liquamod_grid_sim::GridSimError::InvalidSnapshot)
-    /// for a snapshot holding a non-finite gradient, predictor field, power
-    /// or thermal state entry, or a negative or non-finite clock (the pool is
-    /// left unchanged); [`CoreError::InvalidConfig`] when the snapshot's id
-    /// is already live.
+    /// for a snapshot holding a non-finite gradient, predictor field or
+    /// power, a thermal state entry at or below 0 K (or non-finite), or a
+    /// negative or non-finite clock (the pool is left unchanged);
+    /// [`CoreError::InvalidConfig`] when the snapshot's id is already live.
     pub fn restore(&mut self, snapshot: &SessionSnapshot) -> Result<u64> {
         snapshot.validate()?;
         let id = snapshot.session_id;
@@ -564,24 +565,25 @@ impl ServePool {
         let run_one = |task: &BatchTask| -> Result<(TransientOutcome, ResumeState, f64)> {
             let _span = obs::lane_span("serve.decision", task.id as u32);
             obs::add("serve.decisions", 1);
-            let config = base_config.with_flow_scale(task.share)?;
-            let modulated = MpsocModulated::for_arch(&task.arch.architecture(), config)?;
-            let controller = modulated.controller(policy)?;
             let t0 = Instant::now();
-            let (outcome, resume) = controller.run_resumed(&task.trace, task.resume.clone())?;
+            let (outcome, resume) = run_segment(
+                &task.arch.architecture(),
+                &base_config.with_flow_scale(task.share)?,
+                policy,
+                &SegmentFaults::default(),
+                &task.trace,
+                task.resume.clone(),
+            )?;
             Ok((outcome, resume, t0.elapsed().as_secs_f64()))
         };
-        let task_label = |task: &BatchTask| task.label.clone();
-
-        let workers = self.options.workers.max(1);
-        let results: Vec<Result<(TransientOutcome, ResumeState, f64)>> = if workers == 1 {
-            tasks
-                .iter()
-                .map(|t| catch_unit(t, &task_label, &run_one))
-                .collect::<Result<Vec<_>>>()?
-        } else {
-            parallel_map(&tasks, workers, task_label, run_one)?
-        };
+        // One result per session, a panic folded into its own slot: only
+        // the failing session is evicted below.
+        let results = parallel_map(
+            &tasks,
+            self.options.workers,
+            |task: &BatchTask| task.label.clone(),
+            run_one,
+        );
 
         let mut decisions = Vec::with_capacity(tasks.len());
         let mut events = Vec::new();
@@ -802,7 +804,7 @@ mod tests {
                 resume: Some(ResumeState {
                     state: vec![300.0, f64::NAN],
                     last_gradient_k: 1.0,
-                    ..resume
+                    ..resume.clone()
                 }),
                 ..good.clone()
             },
@@ -816,6 +818,16 @@ mod tests {
             },
             SessionSnapshot {
                 last_power_w: Some(f64::INFINITY),
+                ..good.clone()
+            },
+            // Finite but below absolute zero: served, it reads as a huge
+            // gradient and drains the budget from the healthy session.
+            SessionSnapshot {
+                resume: Some(ResumeState {
+                    state: vec![-1e5; 4],
+                    last_gradient_k: 1.0,
+                    ..resume
+                }),
                 ..good.clone()
             },
         ];
@@ -834,6 +846,53 @@ mod tests {
         }
         assert!(pool.snapshot(id).is_ok());
         assert_eq!(pool.restore(&good).unwrap(), good.session_id);
+    }
+
+    #[test]
+    fn a_panicking_session_is_evicted_alone() {
+        // A restored session whose optimizer warm start holds NaN panics
+        // inside its epoch solve. The panic is that session's failure: the
+        // batch still serves the healthy session and evicts only the
+        // broken one, instead of failing pool-wide and dropping the phase
+        // it had already popped from every ready session.
+        let mut pool = ServePool::new(ServeOptions {
+            planned_capacity: 2,
+            ..tiny_options()
+        })
+        .unwrap();
+        let donor = pool.open(ArchSpec::Arch1).unwrap();
+        pool.submit_level(donor, PowerLevel::Average, 0.016)
+            .unwrap();
+        pool.drain_batch().unwrap();
+        let mut snapshot = pool.close(donor).unwrap();
+        let warm = snapshot
+            .resume
+            .as_mut()
+            .and_then(|r| r.warm.as_mut())
+            .expect("an adopted epoch leaves a warm start");
+        warm.x.fill(f64::NAN);
+        let broken = pool.restore(&snapshot).unwrap();
+        let healthy = pool.open(ArchSpec::Arch2).unwrap();
+        for id in [broken, healthy] {
+            pool.submit_level(id, PowerLevel::Average, 0.016).unwrap();
+        }
+        let batch = pool.drain_batch().unwrap();
+        assert_eq!(batch.decisions.len(), 1, "{:?}", batch.events);
+        assert_eq!(batch.decisions[0].session_id, healthy);
+        let evicted: Vec<_> = batch
+            .events
+            .iter()
+            .filter(|e| e.kind == DegradedKind::SessionEvicted)
+            .collect();
+        assert_eq!(evicted.len(), 1);
+        assert_eq!(evicted[0].stack, Some(broken as usize));
+        assert!(
+            evicted[0].detail.contains("panicked"),
+            "{}",
+            evicted[0].detail
+        );
+        assert_eq!(pool.session_ids(), vec![healthy]);
+        assert_eq!(pool.metrics().sessions_failed, 1);
     }
 
     #[test]

@@ -306,8 +306,11 @@ impl SessionSnapshot {
 
     /// Checks the values no live session can hold: a non-finite gradient,
     /// predictor field or power, a negative or non-finite clock, or a
-    /// non-finite thermal state entry. One such value would reach the
-    /// pool's budget allocation and fail every later batch.
+    /// thermal state entry that is not a finite positive absolute
+    /// temperature. One such value would reach the pool's budget
+    /// allocation: a non-finite one fails every later batch, a
+    /// non-positive one is served as a huge gradient that pulls the budget
+    /// away from the healthy sessions.
     ///
     /// # Errors
     ///
@@ -332,9 +335,13 @@ impl SessionSnapshot {
         scalars.extend(self.last_power_w.map(|w| ("last_power_w", w)));
         if let Some(resume) = &self.resume {
             scalars.push(("last_gradient_k", resume.last_gradient_k));
-            if let Some(at) = resume.state.iter().position(|t| !t.is_finite()) {
+            if let Some(at) = resume
+                .state
+                .iter()
+                .position(|t| !(t.is_finite() && *t > 0.0))
+            {
                 return Err(invalid(format!(
-                    "state[{at}] = {} is not finite",
+                    "state[{at}] = {} K is not a finite positive absolute temperature",
                     resume.state[at]
                 )));
             }
@@ -352,8 +359,9 @@ impl SessionSnapshot {
     ///
     /// [`CoreError::GridSim`] with [`GridSimError::InvalidSnapshot`] on a
     /// missing key, an unknown schema version or architecture code, a
-    /// malformed number, a non-finite gradient, predictor field, power or
-    /// thermal state entry, or a negative or non-finite clock.
+    /// malformed number, a non-finite gradient, predictor field or power,
+    /// a thermal state entry that is not a finite positive temperature, or
+    /// a negative or non-finite clock.
     pub fn from_golden_json(json: &str) -> Result<Self> {
         let invalid = |what: String| CoreError::GridSim(GridSimError::InvalidSnapshot { what });
         let version = snap::parse_scalar(json, "serve_schema_version")?;
@@ -435,7 +443,10 @@ mod tests {
 
     fn sample_resume() -> ResumeState {
         ResumeState {
-            state: vec![300.15, 301.0 + 1e-13, -0.0, 2e-3 / 3.0],
+            // Absolute temperatures: a session snapshot rejects entries at
+            // or below 0 K, so the sign-of-zero round trip is pinned on
+            // `ResumeState` alone (tests/integration_serve.rs).
+            state: vec![300.15, 301.0 + 1e-13, f64::MIN_POSITIVE, 2e-3 / 3.0],
             widths: vec![
                 vec![WidthProfile::Uniform(Length::from_micrometers(75.0))],
                 vec![WidthProfile::piecewise_linear(vec![
@@ -587,6 +598,12 @@ mod tests {
                 last_power_w: Some(v),
                 ..good.clone()
             });
+        }
+        // Finite, but at or below absolute zero.
+        for v in [0.0, -1e5] {
+            let mut s = good.clone();
+            s.resume.as_mut().unwrap().state[2] = v;
+            bad.push(s);
         }
         for snapshot in bad {
             let doc = snapshot.to_golden_json();

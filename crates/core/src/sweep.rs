@@ -505,22 +505,25 @@ pub fn run_sweep(grid: &SweepGrid, options: &SweepOptions) -> Result<SweepReport
         c.first()
             .map_or_else(|| "empty chain".to_string(), |v| v.label())
     };
-    let eval = |c: &&[SweepVariant]| evaluate_chain(c, &options.params, config, options.warm_start);
-    let start = Instant::now();
-    let chain_results: Vec<Vec<Result<SweepRow>>> = if workers == 1 {
-        chains
-            .iter()
-            .map(|c| catch_unit(c, &chain_label, &eval))
-            .collect::<Result<Vec<_>>>()?
-    } else {
-        parallel_map(&chains, workers, chain_label, eval)?
+    let eval = |c: &&[SweepVariant]| {
+        Ok(evaluate_chain(
+            c,
+            &options.params,
+            config,
+            options.warm_start,
+        ))
     };
+    let start = Instant::now();
+    let chain_results = parallel_map(&chains, workers, chain_label, eval);
     let wall = start.elapsed();
 
+    // The first failure in grid order wins: a panicked chain in chain
+    // order, a failed variant in variant order.
     let rows = chain_results
         .into_iter()
-        .flatten()
-        .collect::<Result<Vec<SweepRow>>>()?;
+        .map(|chain| chain?.into_iter().collect::<Result<Vec<_>>>())
+        .collect::<Result<Vec<_>>>()?
+        .concat();
     Ok(SweepReport {
         rows,
         workers,
@@ -549,14 +552,7 @@ pub(crate) fn run_variant_sweep<V: Sync, R: Send>(
         requested_workers.max(1).min(variants.len())
     };
     let start = Instant::now();
-    let results: Vec<Result<R>> = if workers == 1 {
-        variants
-            .iter()
-            .map(|v| catch_unit(v, &label, &eval))
-            .collect::<Result<Vec<_>>>()?
-    } else {
-        parallel_map(variants, workers, label, eval)?
-    };
+    let results = parallel_map(variants, workers, label, eval);
     let wall = start.elapsed();
     let rows = results.into_iter().collect::<Result<Vec<_>>>()?;
     Ok((rows, workers, wall))
@@ -578,36 +574,41 @@ fn panic_payload(payload: Box<dyn std::any::Any + Send>) -> String {
 /// shares: a panic inside `f` becomes [`CoreError::WorkerPanicked`]
 /// carrying the unit's label instead of unwinding the whole process — a
 /// served host must degrade, not die. `AssertUnwindSafe` is sound here
-/// because an `Err` discards every result of the fan-out, so no state
-/// poisoned mid-panic is ever observed.
-pub(crate) fn catch_unit<T, R>(
+/// because a unit's state is its own: the panicked unit's partial results
+/// are dropped with it, and no other unit can observe them.
+fn catch_unit<T, R>(
     item: &T,
     label: &(impl Fn(&T) -> String + ?Sized),
-    f: &(impl Fn(&T) -> R + ?Sized),
+    f: &(impl Fn(&T) -> Result<R> + ?Sized),
 ) -> Result<R> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).map_err(|p| {
-        CoreError::WorkerPanicked {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(item))).unwrap_or_else(|p| {
+        Err(CoreError::WorkerPanicked {
             unit: label(item),
             payload: panic_payload(p),
-        }
+        })
     })
 }
 
-/// Maps `f` over `items` on `workers` threads, preserving input order in
-/// the output. Work is distributed dynamically (an atomic cursor) so slow
-/// variants don't serialize behind a static partition. Shared with the
-/// transient sweep ([`crate::transient::run_transient_sweep`]), the fleet
-/// wavefront scheduler and the serve session pool.
+/// Maps `f` over `items` on up to `workers` threads, one result per item in
+/// input order. Work is distributed dynamically (an atomic cursor) so slow
+/// units don't serialize behind a static partition. The one fan-out of the
+/// workspace: the steady, transient and MPSoC sweeps, the fleet wavefront
+/// scheduler (fleet and faults runs) and the serve session pool all
+/// schedule through it.
 ///
-/// A panicking unit surfaces as [`CoreError::WorkerPanicked`] labelled via
-/// `label`; when several units panic, the first in **item order** wins, so
-/// the reported unit is independent of thread interleaving.
+/// A panicking unit yields [`CoreError::WorkerPanicked`] labelled via
+/// `label` **in its own slot**; the other units' results are kept, so a
+/// caller can degrade per unit (the serve pool evicts only the failing
+/// session) or take the first failure in item order — which is then
+/// independent of thread interleaving.
 ///
-/// When an [`crate::obs`] session is recording, each unit's spans,
-/// counters and events are captured from the worker's thread-local buffer
-/// right after the unit finishes and absorbed into the caller's buffer in
-/// **item order** after the index sort — the observability twin of the
-/// bitwise parallel==serial result guarantee: record *content* is
+/// With one worker (or at most one item) the units run on the calling
+/// thread, in order, their spans nesting directly under the caller's.
+/// Otherwise, when an [`crate::obs`] session is recording, each unit's
+/// spans, counters and events are captured from the worker's thread-local
+/// buffer right after the unit finishes and absorbed into the caller's
+/// buffer in **item order** after the index sort — the observability twin
+/// of the bitwise parallel==serial result guarantee: record *content* is
 /// independent of the worker count (wall-clock timestamps and worker ids
 /// are the only fields that vary, and the deterministic exports exclude
 /// them).
@@ -616,15 +617,21 @@ pub(crate) fn parallel_map<T, R, F, N>(
     workers: usize,
     label: N,
     f: F,
-) -> Result<Vec<R>>
+) -> Vec<Result<R>>
 where
     T: Sync,
     R: Send,
-    F: Fn(&T) -> R + Sync,
+    F: Fn(&T) -> Result<R> + Sync,
     N: Fn(&T) -> String + Sync,
 {
+    let workers = workers.min(items.len());
+    if workers <= 1 {
+        return items
+            .iter()
+            .map(|item| catch_unit(item, &label, &f))
+            .collect();
+    }
     let cursor = AtomicUsize::new(0);
-    let workers = workers.min(items.len()).max(1);
     // The worker closures `move` their 1-based id and borrow the rest.
     let (cursor, label, f) = (&cursor, &label, &f);
     std::thread::scope(|scope| {
@@ -850,10 +857,15 @@ mod tests {
     #[test]
     fn parallel_map_preserves_order_under_contention() {
         let items: Vec<usize> = (0..97).collect();
-        let out = parallel_map(&items, 5, |&x| format!("item {x}"), |&x| x * 3).unwrap();
+        let out: Vec<usize> = parallel_map(&items, 5, |&x| format!("item {x}"), |&x| Ok(x * 3))
+            .into_iter()
+            .collect::<Result<_>>()
+            .unwrap();
         assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         // Degenerate worker counts still work.
-        let out = parallel_map(&items, 200, |&x| format!("item {x}"), |&x| x + 1).unwrap();
+        let out = parallel_map(&items, 200, |&x| format!("item {x}"), |&x| Ok(x + 1));
+        assert_eq!(out.len(), 97);
+        let out = parallel_map(&items, 0, |&x| format!("item {x}"), |&x| Ok(x + 1));
         assert_eq!(out.len(), 97);
     }
 
@@ -868,9 +880,11 @@ mod tests {
             |&x| format!("unit {x}"),
             |&x| {
                 assert!(x != 11, "injected failure on item 11");
-                x * 2
+                Ok(x * 2)
             },
         )
+        .into_iter()
+        .collect::<Result<Vec<_>>>()
         .unwrap_err();
         match err {
             CoreError::WorkerPanicked { unit, payload } => {
@@ -887,9 +901,11 @@ mod tests {
             |&x| format!("unit {x}"),
             |&x| {
                 assert!(x < 5, "boom");
-                x
+                Ok(x)
             },
         )
+        .into_iter()
+        .collect::<Result<Vec<_>>>()
         .unwrap_err();
         assert!(matches!(
             err,
@@ -910,5 +926,39 @@ mod tests {
             err,
             CoreError::WorkerPanicked { ref unit, .. } if unit == "unit 3"
         ));
+    }
+
+    #[test]
+    fn a_panicking_unit_fails_alone() {
+        // One result per unit: a panic is that unit's error, and every other
+        // unit's result survives — what lets the serve pool evict just the
+        // failing session instead of dropping the whole batch.
+        let items: Vec<usize> = (0..12).collect();
+        for workers in [1, 3] {
+            let out = parallel_map(
+                &items,
+                workers,
+                |&x| format!("unit {x}"),
+                |&x| {
+                    assert!(x != 7, "injected failure on item 7");
+                    if x == 2 {
+                        Err(CoreError::InvalidConfig {
+                            what: "unit 2 fails without panicking".into(),
+                        })
+                    } else {
+                        Ok(x * 10)
+                    }
+                },
+            );
+            assert_eq!(out.len(), items.len());
+            for (x, result) in items.iter().zip(&out) {
+                match (x, result) {
+                    (7, Err(CoreError::WorkerPanicked { unit, .. })) => assert_eq!(unit, "unit 7"),
+                    (2, Err(CoreError::InvalidConfig { .. })) => {}
+                    (x, Ok(v)) => assert_eq!(*v, x * 10, "workers = {workers}"),
+                    (x, other) => panic!("unit {x} at {workers} workers: {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -626,60 +626,41 @@ impl TransientOutcome {
     /// for the comparer and the `LIQUAMOD_REGEN_GOLDEN=1` regeneration knob.
     #[must_use]
     pub fn golden_json(&self, scenario: &str) -> String {
-        fn num_array(values: impl Iterator<Item = f64>) -> String {
-            let items: Vec<String> = values.map(|v| format!("{v:e}")).collect();
-            format!("[{}]", items.join(", "))
+        use liquamod_grid_sim::snapshot as snap;
+        let mut out = format!("{{\n  \"schema_version\": 1,\n  \"scenario\": \"{scenario}\",\n");
+        snap::push_scalar(&mut out, "dt_seconds", self.dt_seconds, false);
+        let snapshots: [GoldenChannel<TransientSnapshot>; 4] = [
+            ("times", |s| s.time_seconds),
+            ("peak_k", |s| s.peak_k),
+            ("min_k", |s| s.min_k),
+            ("gradient_k", |s| s.gradient_k),
+        ];
+        for (key, value) in snapshots {
+            snap::push_array(&mut out, key, self.snapshots.iter().map(value), false);
         }
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        out.push_str(&format!("  \"dt_seconds\": {:e},\n", self.dt_seconds));
-        out.push_str(&format!(
-            "  \"times\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.time_seconds))
-        ));
-        out.push_str(&format!(
-            "  \"peak_k\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.peak_k))
-        ));
-        out.push_str(&format!(
-            "  \"min_k\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.min_k))
-        ));
-        out.push_str(&format!(
-            "  \"gradient_k\": {},\n",
-            num_array(self.snapshots.iter().map(|s| s.gradient_k))
-        ));
-        out.push_str(&format!(
-            "  \"epoch_steps_at\": {},\n",
-            num_array(self.epochs.iter().map(|e| e.step as f64))
-        ));
-        out.push_str(&format!(
-            "  \"epoch_adopted\": {},\n",
-            num_array(
-                self.epochs
-                    .iter()
-                    .map(|e| if e.adopted { 1.0 } else { 0.0 })
-            )
-        ));
-        out.push_str(&format!(
-            "  \"epoch_candidate_gradient_k\": {},\n",
-            num_array(self.epochs.iter().map(|e| e.candidate_gradient_k))
-        ));
-        out.push_str(&format!(
-            "  \"epoch_incumbent_gradient_k\": {},\n",
-            num_array(self.epochs.iter().map(|e| e.incumbent_gradient_k))
-        ));
+        let epochs: [GoldenChannel<EpochRecord>; 4] = [
+            ("epoch_steps_at", |e| e.step as f64),
+            ("epoch_adopted", |e| if e.adopted { 1.0 } else { 0.0 }),
+            ("epoch_candidate_gradient_k", |e| e.candidate_gradient_k),
+            ("epoch_incumbent_gradient_k", |e| e.incumbent_gradient_k),
+        ];
+        for (key, value) in epochs {
+            snap::push_array(&mut out, key, self.epochs.iter().map(value), false);
+        }
         let widths: Vec<String> = self
             .epochs
             .iter()
-            .map(|e| num_array(e.widths_um.iter().flatten().copied()))
+            .map(|e| snap::render_array(e.widths_um.iter().flatten().copied()))
             .collect();
         out.push_str(&format!("  \"epoch_widths_um\": [{}]\n", widths.join(", ")));
         out.push_str("}\n");
         out
     }
 }
+
+/// One named numeric channel of a golden-fixture document: the key and
+/// how to read its value off one record.
+pub(crate) type GoldenChannel<T> = (&'static str, fn(&T) -> f64);
 
 /// The strip stack family: the Fig. 2 test structure (one channel between
 /// two active strips), loaded by [`StripLoad`]s — the original instance the
